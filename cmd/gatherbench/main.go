@@ -20,8 +20,8 @@
 // -bench-against compares a fresh measurement with a committed snapshot
 // and exits non-zero on staleness or an allocs/op regression (> 20%).
 //
-//	gatherbench -bench-out BENCH_PR6.json -bench-label PR6
-//	gatherbench -bench-against BENCH_PR6.json     # the CI bench-smoke gate
+//	gatherbench -bench-out BENCH_PR12.json -bench-label PR12
+//	gatherbench -bench-against BENCH_PR12.json    # the CI bench-smoke gate
 //
 // Perf investigations start from a profile, not a guess: -cpuprofile and
 // -memprofile capture pprof profiles of whichever mode runs (experiment

@@ -57,7 +57,8 @@ Flags:
   -drain-timeout D   how long shutdown waits for workers (default 30s)
 
 Endpoints:
-  POST /jobs                 submit {scenario|shape,size,seed,config,strategy,sched,maxRounds,workers}
+  POST /jobs                 submit {scenario|shape,size,seed,config,strategy,sched,maxRounds,workers};
+                             size <= 4096 (serve.MaxJobSize), body <= 64 KiB
   POST /campaign             submit a declarative workload spec (YAML, internal/workload);
                              every expanded item is admitted like a job, deduplicated
                              by the same content-addressed cache

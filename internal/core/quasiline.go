@@ -114,6 +114,12 @@ func stairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
 // and last groups — and single perpendicular jog edges. Any confirmed
 // deviation (a perpendicular double edge, a straight group of one edge
 // strictly inside, a reversal or switchback) marks the endpoint.
+//
+// The parse is a single streaming pass that holds only the current group
+// and returns at the first confirmed deviation, so it reads O(distance to
+// the quasi-line end) edges and allocates nothing, however long the view:
+// the unbounded Lemma 1/2 pair walk (Algorithm.pairStarts) costs one quasi
+// line per start, not one chain.
 func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
@@ -131,67 +137,52 @@ func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 	if e1.Perp(eT) && e2 != e1 && e2.Parallel(eT) {
 		axis = e2 // standing before a jog: e1 is the jog edge
 	}
-	sameAxis := func(v grid.Vec) bool { return v.Parallel(axis) }
-
-	// Group the edges ahead into maximal runs of identical edges. At the
-	// paper's V = 11 at most 11 groups exist, so a small stack-resident
-	// buffer keeps the per-decision hot path allocation-free; only the
-	// unbounded instrumentation views (pairStarts) can spill to the heap.
-	type group struct {
-		dir      grid.Vec
-		len      int
-		endRobot int // chain offset (in units of d) of the last robot of the group
-	}
-	var groupBuf [16]group
-	groups := groupBuf[:0]
-	for j := 0; j < maxEdges; j++ {
-		e := s.Edge(j*d, d)
-		if len(groups) > 0 && groups[len(groups)-1].dir == e {
-			groups[len(groups)-1].len++
-			groups[len(groups)-1].endRobot = j + 1
-		} else {
-			groups = append(groups, group{dir: e, len: 1, endRobot: j + 1})
-		}
-	}
-
-	// Walk the groups along the known axis. Straight groups must keep one
-	// direction and span >= 2 edges (except the truncated first and last);
-	// perpendicular jog groups must be single edges between straight
-	// groups. The first confirmed deviation marks the quasi-line end.
 	lineDir := grid.Vec{}
-	if sameAxis(e1) {
+	if e1.Parallel(axis) {
 		lineDir = e1
-	} else if sameAxis(e2) {
+	} else if e2.Parallel(axis) {
 		lineDir = e2
 	}
+
+	// Walk the maximal groups of identical edges along the known axis,
+	// judging each rule as soon as the edges read so far decide it.
+	// Straight groups must keep lineDir and span >= 2 edges (except the
+	// truncated first and last); perpendicular jog groups must be single
+	// edges between straight groups. The first confirmed deviation marks
+	// the quasi-line end: the last robot of the last straight group that
+	// closed. lineDir is set whenever the axis is an axis unit, and the
+	// first group opens with e1, which is lineDir when it lies on the
+	// axis, so only later groups can break a rule on opening.
 	lastGood := 0
-	prevStraight := false
-	for i, g := range groups {
-		last := i == len(groups)-1
-		switch {
-		case sameAxis(g.dir):
-			if !lineDir.IsZero() && g.dir != lineDir {
-				// Reversal or switchback: a merge shape, not a quasi line.
-				return lastGood, true
+	cur, curLen := e1, 1 // the current group: direction and edge count
+	straight := e1.Parallel(axis)
+	for j := 1; j < maxEdges; j++ {
+		e := s.Edge(j*d, d)
+		if e == cur {
+			curLen++
+			if !straight && curLen == 2 {
+				return lastGood, true // a perpendicular double edge
 			}
-			lineDir = g.dir
-			if i > 0 && g.len == 1 && !last {
+			continue
+		}
+		// The current group closes at robot j with a successor, so it is
+		// not the final (possibly truncated) group.
+		if straight {
+			if curLen == 1 && j > 1 {
 				// A straight group of a single edge strictly inside the
 				// structure: a two-robot run, i.e. a stairway step.
 				return lastGood, true
 			}
-			lastGood = g.endRobot
-			prevStraight = true
-		default:
-			// Perpendicular group: must be a single jog edge, and two jogs
-			// may not follow each other.
-			if g.len >= 2 {
-				return lastGood, true
-			}
-			if i > 0 && !prevStraight {
-				return lastGood, true
-			}
-			prevStraight = false
+			lastGood = j
+		}
+		prevStraight := straight
+		cur, curLen, straight = e, 1, e.Parallel(axis)
+		if straight && e != lineDir {
+			// Reversal or switchback: a merge shape, not a quasi line.
+			return lastGood, true
+		}
+		if !straight && !prevStraight {
+			return lastGood, true // two jogs in a row
 		}
 	}
 	// No confirmed violation within view; the final (possibly truncated)

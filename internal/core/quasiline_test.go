@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gridgather/internal/chain"
+	"gridgather/internal/generate"
 	"gridgather/internal/grid"
 	"gridgather/internal/view"
 )
@@ -265,4 +268,174 @@ func TestCornerAt(t *testing.T) {
 	if cornerAt(snap(c, 5), +1) {
 		t.Error("mid-side robot is not a corner")
 	}
+}
+
+// endpointAheadGrouped is the referee for EndpointAhead: the two-pass form
+// of the parser, which first groups every edge in view into maximal runs
+// of identical edges and then walks the groups, at O(view) time and space.
+// The streaming EndpointAhead must return the same (endOffset, ok) for
+// every snapshot. The oracle shares EndpointAhead with the engine
+// (DESIGN.md §7), so lockstep conformance cannot referee a slip in the
+// parser; these differential tests do.
+func endpointAheadGrouped(s view.Snapshot, d int) (endOffset int, ok bool) {
+	maxEdges := min(s.V(), s.ChainLen()-1)
+	if maxEdges < 2 {
+		return 0, false
+	}
+	e1 := s.Edge(0, d)
+	e2 := s.Edge(d, d)
+	eT := s.Edge(0, -d)
+	axis := e1
+	if e1.Perp(eT) && e2 != e1 && e2.Parallel(eT) {
+		axis = e2
+	}
+	sameAxis := func(v grid.Vec) bool { return v.Parallel(axis) }
+
+	type group struct {
+		dir      grid.Vec
+		len      int
+		endRobot int
+	}
+	var groups []group
+	for j := 0; j < maxEdges; j++ {
+		e := s.Edge(j*d, d)
+		if len(groups) > 0 && groups[len(groups)-1].dir == e {
+			groups[len(groups)-1].len++
+			groups[len(groups)-1].endRobot = j + 1
+		} else {
+			groups = append(groups, group{dir: e, len: 1, endRobot: j + 1})
+		}
+	}
+
+	lineDir := grid.Vec{}
+	if sameAxis(e1) {
+		lineDir = e1
+	} else if sameAxis(e2) {
+		lineDir = e2
+	}
+	lastGood := 0
+	prevStraight := false
+	for i, g := range groups {
+		last := i == len(groups)-1
+		switch {
+		case sameAxis(g.dir):
+			if !lineDir.IsZero() && g.dir != lineDir {
+				return lastGood, true
+			}
+			lineDir = g.dir
+			if i > 0 && g.len == 1 && !last {
+				return lastGood, true
+			}
+			lastGood = g.endRobot
+			prevStraight = true
+		default:
+			if g.len >= 2 {
+				return lastGood, true
+			}
+			if i > 0 && !prevStraight {
+				return lastGood, true
+			}
+			prevStraight = false
+		}
+	}
+	return 0, false
+}
+
+// checkEndpointAheadAgainstGrouped compares the streaming parser with the
+// referee at every index of c, in both directions, for each viewing path
+// length in vs. It returns the number of snapshots compared.
+func checkEndpointAheadAgainstGrouped(t *testing.T, label string, c *chain.Chain, vs []int) int {
+	t.Helper()
+	compared := 0
+	for _, v := range vs {
+		for i := 0; i < c.Len(); i++ {
+			s := view.At(c, i, v, nil)
+			for _, d := range [2]int{+1, -1} {
+				gotOff, gotOK := EndpointAhead(s, d)
+				wantOff, wantOK := endpointAheadGrouped(s, d)
+				if gotOff != wantOff || gotOK != wantOK {
+					t.Fatalf("%s: n=%d idx=%d V=%d d=%+d: EndpointAhead = (%d, %v), grouped referee = (%d, %v)",
+						label, c.Len(), i, v, d, gotOff, gotOK, wantOff, wantOK)
+				}
+				compared++
+			}
+		}
+	}
+	return compared
+}
+
+// TestEndpointAheadMatchesGrouped is the exhaustive differential check of
+// the streaming parser: every generator family at several sizes, stepped
+// through its first rounds so the chains carry the jogs, stairways and
+// merge shapes the gather produces, every index, both directions, and the
+// viewing path lengths the engine uses (the paper's V = 11, the unbounded
+// pair walk's n-1) plus the degenerate and over-long ones.
+func TestEndpointAheadMatchesGrouped(t *testing.T) {
+	const rounds = 40
+	rng := rand.New(rand.NewSource(12))
+	sizes := []int{12, 40, 96, 200}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	compared := 0
+	for _, name := range generate.Names() {
+		for _, size := range sizes {
+			ch, err := generate.Named(name, size, rng)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, size, err)
+			}
+			alg, err := New(ch, DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, size, err)
+			}
+			for r := 0; r < rounds && !alg.Gathered(); r++ {
+				c := alg.Chain()
+				n := c.Len()
+				label := fmt.Sprintf("%s/%d round %d", name, size, r)
+				compared += checkEndpointAheadAgainstGrouped(t, label, c, []int{1, 2, 3, DefaultViewingPathLength, n - 1, n + 3})
+				if _, err := alg.Step(); err != nil {
+					t.Fatalf("%s/%d round %d: %v", name, size, r, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d snapshots agree", compared)
+}
+
+// fuzzMaxSteps caps the chain size FuzzEndpointAhead decodes: the parser's
+// structure repeats every few edges, so longer inputs add wall-clock, not
+// coverage.
+const fuzzMaxSteps = 512
+
+// FuzzEndpointAhead is the open-ended differential check: arbitrary bytes
+// decode into a valid closed chain (generate.FromBytes) and the streaming
+// parser must agree with the grouped referee at the selected index and
+// direction, for the selected viewing path length and for the unbounded
+// view of the pair walk. The committed corpus (testdata/fuzz) holds the
+// start chain of every generator family at size 48 and, where it still
+// encodes as a unit-step walk, the same chain after 12 gather rounds.
+func FuzzEndpointAhead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, idx uint16, v uint8, back bool) {
+		if len(data) > fuzzMaxSteps {
+			data = data[:fuzzMaxSteps]
+		}
+		c, err := generate.FromBytes(data)
+		if err != nil {
+			t.Skip() // only the empty input
+		}
+		n := c.Len()
+		d := +1
+		if back {
+			d = -1
+		}
+		for _, vv := range [2]int{int(v), n - 1} {
+			s := view.At(c, int(idx)%n, vv, nil)
+			gotOff, gotOK := EndpointAhead(s, d)
+			wantOff, wantOK := endpointAheadGrouped(s, d)
+			if gotOff != wantOff || gotOK != wantOK {
+				t.Fatalf("n=%d idx=%d V=%d d=%+d: EndpointAhead = (%d, %v), grouped referee = (%d, %v)\nsteps: %v",
+					n, int(idx)%n, vv, d, gotOff, gotOK, wantOff, wantOK, generate.ToBytes(c))
+			}
+		}
+	})
 }

@@ -186,7 +186,9 @@ type pendingStart struct {
 // neighbours of both endpoints lie on the same side of the line). The walk
 // uses the full chain — this is engine instrumentation for the Lemma 1/2
 // experiments, not information available to a robot; it never influences
-// behaviour.
+// behaviour. The view is unbounded, but EndpointAhead stops at the first
+// confirmed deviation, so each start costs O(its quasi line) edge reads
+// and no allocation.
 func (a *Algorithm) pairStarts(pending []pendingStart) {
 	if len(pending) < 2 {
 		return

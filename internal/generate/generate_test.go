@@ -1,7 +1,9 @@
 package generate
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +38,31 @@ func TestRectangle(t *testing.T) {
 	}
 	if _, err := Rectangle(0, 3); err == nil {
 		t.Error("degenerate rectangle accepted")
+	}
+}
+
+// TestRectangleMatchesTraceBoundary pins the direct boundary emission of
+// Rectangle to the cell-map trace it replaced: the same robots in the same
+// order, for every w, h in [1, 16].
+func TestRectangleMatchesTraceBoundary(t *testing.T) {
+	for w := 1; w <= 16; w++ {
+		for h := 1; h <= 16; h++ {
+			cells := make(CellSet, w*h)
+			for x := 0; x < w; x++ {
+				for y := 0; y < h; y++ {
+					cells[Cell{x, y}] = true
+				}
+			}
+			want, err := TraceBoundary(cells)
+			if err != nil {
+				t.Fatalf("%dx%d: %v", w, h, err)
+			}
+			got, err := Rectangle(w, h)
+			validate(t, fmt.Sprintf("rectangle %dx%d", w, h), got, err)
+			if !slices.Equal(got.Positions(), want.Positions()) {
+				t.Fatalf("%dx%d: Rectangle = %v, TraceBoundary = %v", w, h, got.Positions(), want.Positions())
+			}
+		}
 	}
 }
 

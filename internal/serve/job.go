@@ -23,6 +23,20 @@ import (
 // "your parameters are wrong".
 var ErrBadJob = errors.New("serve: invalid job specification")
 
+// MaxJobSize is the largest JobSpec.Size a server admits: the same bound
+// generate.MaxFromBytesSteps puts on the raw Scenario form. The families
+// that trace a cell map (polyomino, staircase, lshape) cost O(size²) to
+// build — lshape at size 65536 fills ~149M cells — so an unbounded size is
+// a memory exhaustion vector. At this cap every family builds with at most
+// 64 MB allocated (TestMaxJobSizeBuildBound pins it); a larger size is
+// rejected with ErrBadJob before anything is built.
+const MaxJobSize = generate.MaxFromBytesSteps
+
+// maxJobBytes bounds a POST /jobs body. A spec is a few hundred bytes of
+// JSON plus at most MaxFromBytesSteps scenario bytes (~5.5 KB as base64);
+// the decoder stops reading at 64 KiB and the request is answered 413.
+const maxJobBytes = 64 << 10
+
 // JobSpec is the wire form of one simulation job. Exactly one of the two
 // scenario forms must be set: raw Scenario bytes (the generate.FromBytes
 // edge encoding, which doubles as the fuzz-corpus format) or a structured
@@ -98,6 +112,8 @@ func (s JobSpec) build() (*chain.Chain, sim.Options, error) {
 		return nil, sim.Options{}, fmt.Errorf("%w: scenario bytes and shape are mutually exclusive", ErrBadJob)
 	case len(s.Scenario) > 0:
 		ch, err = generate.FromBytes(s.Scenario)
+	case s.Shape != "" && s.Size > MaxJobSize:
+		return nil, sim.Options{}, fmt.Errorf("%w: size %d exceeds the limit of %d robots", ErrBadJob, s.Size, MaxJobSize)
 	case s.Shape != "":
 		ch, err = generate.Named(s.Shape, s.Size, rand.New(rand.NewSource(s.Seed)))
 	default:

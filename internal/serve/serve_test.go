@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -268,10 +269,11 @@ func TestAdmissionRejections(t *testing.T) {
 				Config: core.Config{ViewingPathLength: 11, RunPeriod: 13, MaxMergeLen: 8}},
 			sim.ErrLivelockConfig.Error(),
 		},
-		"empty-spec": {JobSpec{}, "scenario bytes or a shape"},
-		"both-forms": {JobSpec{Scenario: []byte{0, 1}, Shape: "spiral", Size: 40}, "mutually exclusive"},
-		"bad-shape":  {JobSpec{Shape: "klein-bottle", Size: 40}, "unknown shape"},
-		"bad-config": {JobSpec{Shape: "spiral", Size: 40, Config: core.Config{ViewingPathLength: 3, RunPeriod: 1, MaxMergeLen: 1}}, core.ErrViewTooSmall.Error()},
+		"empty-spec":     {JobSpec{}, "scenario bytes or a shape"},
+		"both-forms":     {JobSpec{Scenario: []byte{0, 1}, Shape: "spiral", Size: 40}, "mutually exclusive"},
+		"bad-shape":      {JobSpec{Shape: "klein-bottle", Size: 40}, "unknown shape"},
+		"bad-config":     {JobSpec{Shape: "spiral", Size: 40, Config: core.Config{ViewingPathLength: 3, RunPeriod: 1, MaxMergeLen: 1}}, core.ErrViewTooSmall.Error()},
+		"size-above-cap": {JobSpec{Shape: "lshape", Size: MaxJobSize + 1}, "exceeds the limit"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			v, code := submit(t, ts, tc.spec)
@@ -301,8 +303,45 @@ func TestAdmissionRejections(t *testing.T) {
 			t.Fatalf("error %q does not mention the unknown strategy", body)
 		}
 	})
+	// A body beyond maxJobBytes is refused unread (413): whitespace keeps
+	// the document valid JSON, so only the size limit can reject it.
+	t.Run("oversized-body", func(t *testing.T) {
+		body := `{"shape":"spiral","size":40,` + strings.Repeat(" ", maxJobBytes) + `"seed":1}`
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status %d, want 413", resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), ErrBadJob.Error()) {
+			t.Fatalf("error %q does not carry ErrBadJob", msg)
+		}
+	})
 	if st := getStats(t, ts); st.EngineRounds != 0 || st.Entries != 0 {
 		t.Fatalf("rejected jobs left state behind: %+v", st)
+	}
+}
+
+// TestMaxJobSizeBuildBound pins the reason MaxJobSize is what it is: at
+// the cap, every generator family builds with at most 64 MB allocated
+// (the cell-map families polyomino, staircase and lshape dominate, at
+// ≈15–57 MB). One past the cap is refused by TestAdmissionRejections.
+func TestMaxJobSizeBuildBound(t *testing.T) {
+	const maxBuildBytes = 64 << 20
+	for _, name := range generate.Names() {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, _, err := (JobSpec{Shape: name, Size: MaxJobSize, Seed: 1}).build(); err != nil {
+			t.Fatalf("%s at MaxJobSize: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxBuildBytes {
+			t.Errorf("%s at MaxJobSize allocates %.1f MB, want <= %d MB", name, float64(got)/(1<<20), maxBuildBytes>>20)
+		}
 	}
 }
 

@@ -368,15 +368,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// handleSubmit is admission control: decode, validate (400 on any typed
-// rejection, including ErrLivelockConfig), consult the cache (a terminal
-// cacheable entry answers inline without touching the queue; a live one
-// coalesces), refuse while draining (503), and otherwise enqueue unless
-// the queue is full (429).
+// handleSubmit is admission control: decode (413 beyond maxJobBytes),
+// validate (400 on any typed rejection, including ErrLivelockConfig and a
+// size above MaxJobSize), consult the cache (a terminal cacheable entry
+// answers inline without touching the queue; a live one coalesces), refuse
+// while draining (503), and otherwise enqueue unless the queue is full
+// (429).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadJob, err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("%w: %v", ErrBadJob, err))
 		return
 	}
 	ch, opts, err := spec.build()
