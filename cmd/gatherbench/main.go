@@ -20,8 +20,8 @@
 // -bench-against compares a fresh measurement with a committed snapshot
 // and exits non-zero on staleness or an allocs/op regression (> 20%).
 //
-//	gatherbench -bench-out BENCH_PR12.json -bench-label PR12
-//	gatherbench -bench-against BENCH_PR12.json    # the CI bench-smoke gate
+//	gatherbench -bench-out BENCH_PR14.json -bench-label PR14
+//	gatherbench -bench-against BENCH_PR14.json    # the CI bench-smoke gate
 //
 // Perf investigations start from a profile, not a guess: -cpuprofile and
 // -memprofile capture pprof profiles of whichever mode runs (experiment
@@ -82,7 +82,6 @@ func gatherbenchMain() int {
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 		out       = flag.String("out", "", "output file (default stdout)")
 		workers   = flag.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS (results identical for any value)")
-		engWrk    = flag.Int("workers", 0, "phase-kernel workers inside every simulated engine (core chunked driver, DESIGN.md §9); 0 = sequential (results identical for any value)")
 		quiet     = flag.Bool("quiet", false, "suppress the timing summary on stderr")
 		schedFlag = flag.String("sched", "fsync", "activation scheduler the suite's round simulations run under: fsync, rr:K, bounded:K[:p=P][:seed=S], random[:p=P][:seed=S]; E9's structural probe and E12's global-vision baselines are scheduler-free, and E-sched sweeps its own axis regardless")
 		stratFlag = flag.String("strategy", "paper", "gathering strategy the suite's round simulations drive: paper or lintime; paper-specific accounting columns read zero under lintime, and E-strat sweeps its own axis regardless")
@@ -133,7 +132,7 @@ func gatherbenchMain() int {
 		return specReplayMain(*specReplay, *workers)
 	}
 	if *specFlag != "" {
-		return specModeMain(*specFlag, *specTrace, *workers, *engWrk, *csv, *out, *quiet)
+		return specModeMain(*specFlag, *specTrace, *workers, *csv, *out, *quiet)
 	}
 	if *benchOut != "" || *benchAgainst != "" {
 		if err := runBenchMode(*benchOut, *benchAgainst, *benchLabel, *benchNote); err != nil {
@@ -161,7 +160,7 @@ func gatherbenchMain() int {
 	defer stopSignals()
 
 	params := experiments.Params{Seed: *seed, Trials: *trials, Quick: *quick, Parallel: *workers,
-		EngineWorkers: *engWrk, Sched: schedCfg, Strategy: strategy, Context: ctx}
+		Sched: schedCfg, Strategy: strategy, Context: ctx}
 	for _, tok := range strings.Split(*sizes, ",") {
 		var v int
 		if _, err := fmt.Sscanf(strings.TrimSpace(tok), "%d", &v); err == nil && v > 0 {

@@ -20,7 +20,7 @@ import (
 // (byte-reproducible for a given spec, like the experiment tables).
 // -spec-trace additionally records the full campaign as an NDJSON trace
 // that -spec-replay re-verifies later.
-func specModeMain(specArg, tracePath string, workers, engWrk int, csv bool, outPath string, quiet bool) int {
+func specModeMain(specArg, tracePath string, workers int, csv bool, outPath string, quiet bool) int {
 	sp, err := workload.Load(specArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gatherbench:", err)
@@ -30,7 +30,7 @@ func specModeMain(specArg, tracePath string, workers, engWrk int, csv bool, outP
 	defer stopSignals()
 
 	start := time.Now()
-	recs, err := workload.Execute(ctx, sp, workers, engWrk)
+	recs, err := workload.Execute(ctx, sp, workers, 0)
 	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -21,13 +21,7 @@
 // watchdog without divergence count as DNF in the summary, not as
 // failures.
 //
-// A worker count for the engine's chunked phase-kernel driver
-// (core.Config.Workers, DESIGN.md §9) is a fourth scenario axis: -workers
-// 0 (the default) draws 1–8 per scenario, any positive value pins it.
-// The naive model knows nothing about workers, so chunking artefacts
-// surface as lockstep divergences like any other engine bug.
-//
-// The gathering strategy (DESIGN.md §10) is the fifth axis: -strategy mix
+// The gathering strategy (DESIGN.md §10) is the fourth axis: -strategy mix
 // (the default) draws from the registered strategies per scenario,
 // -strategy paper or -strategy lintime pins one for a whole run. The paper
 // strategy runs the full engine-vs-model lockstep; strategies without a
@@ -36,11 +30,10 @@
 //
 // Usage:
 //
-//	gatherfuzz                          # 100k scenarios, all families, mixed schedulers, workers, strategies
+//	gatherfuzz                          # 100k scenarios, all families, mixed schedulers and strategies
 //	gatherfuzz -scenarios 1000000       # the million-chain campaign
 //	gatherfuzz -max-size 256 -seed 7    # smaller chains, different stream
 //	gatherfuzz -sched bounded:3         # one activation model for the whole run
-//	gatherfuzz -workers 4               # pin the chunked driver to 4 workers
 //	gatherfuzz -strategy lintime        # conformance-slice the contraction strategy
 //	gatherfuzz -only 123456             # re-run one scenario index
 //	gatherfuzz -resume failure.bundle   # replay a recorded failure
@@ -54,12 +47,12 @@
 // campaign is a pure function of the spec bytes, so -scenarios trims or
 // extends the item count and -only reproduces a single item. Flags that
 // shape the raw config space (-seed, -min-size, -max-size, -sched,
-// -strategy, -workers) conflict with -spec and are rejected.
+// -strategy) conflict with -spec and are rejected.
 //
 // On a divergence the campaign also writes a diagnostic bundle (-bundle,
 // default gatherfuzz-failure.bundle): the exact failing chain plus its
-// configuration, scheduler, strategy and worker count in one checksummed
-// file, replayable anywhere via -resume without rebuilding the campaign.
+// configuration, scheduler and strategy in one checksummed file,
+// replayable anywhere via -resume without rebuilding the campaign.
 // SIGINT/SIGTERM stop the campaign at a scenario boundary: in-flight
 // scenarios drain, the progress reached is reported, and the process exits
 // with status 130.
@@ -109,10 +102,9 @@ func gatherfuzzMain() int {
 		only      = flag.Int("only", -1, "run only this scenario index (reproduce a failure)")
 		schedFlag = flag.String("sched", "mix", "activation scheduler: mix (draw per scenario from the fuzzing space), or one config (fsync, rr:K, bounded:K[:p=P][:seed=S], random[:p=P][:seed=S])")
 		stratFlag = flag.String("strategy", "mix", "gathering strategy: mix (draw per scenario from the registry), paper, or lintime")
-		engWrk    = flag.Int("workers", 0, "engine phase-kernel workers per scenario: 0 = draw 1-8 per scenario, otherwise pin this count")
 		progress  = flag.Duration("progress", 10*time.Second, "progress interval on stderr (0 = off)")
 		quiet     = flag.Bool("quiet", false, "suppress the timing summary on stderr")
-		bundle    = flag.String("bundle", "gatherfuzz-failure.bundle", "write the failing scenario (chain, config, scheduler, strategy, workers) to this diagnostic bundle on a divergence; replay with -resume (empty = off)")
+		bundle    = flag.String("bundle", "gatherfuzz-failure.bundle", "write the failing scenario (chain, config, scheduler, strategy) to this diagnostic bundle on a divergence; replay with -resume (empty = off)")
 		resume    = flag.String("resume", "", "replay a diagnostic bundle written by -bundle and report whether the divergence reproduces")
 		spec      = flag.String("spec", "", "run a declarative workload campaign instead of the flag-built space: a preset name ("+presetList()+") or a spec file path; -scenarios overrides the item count, -only reruns one item")
 	)
@@ -125,10 +117,6 @@ func gatherfuzzMain() int {
 	}
 	if *minSize < 4 || *maxSize < *minSize {
 		fmt.Fprintln(os.Stderr, "gatherfuzz: need 4 <= min-size <= max-size")
-		return 2
-	}
-	if *engWrk < 0 {
-		fmt.Fprintln(os.Stderr, "gatherfuzz: -workers must not be negative")
 		return 2
 	}
 	var forced *sched.Config
@@ -151,7 +139,7 @@ func gatherfuzzMain() int {
 	}
 
 	if *only >= 0 {
-		desc, err := runScenario(*seed, *only, *minSize, *maxSize, forced, forcedStrat, *engWrk)
+		desc, err := runScenario(*seed, *only, *minSize, *maxSize, forced, forcedStrat)
 		fmt.Printf("scenario %d: %s\n", *only, desc)
 		if err != nil {
 			fmt.Println(err)
@@ -203,7 +191,7 @@ func gatherfuzzMain() int {
 	}
 
 	err := parallel.ForEachContext(ctx, *workers, *scenarios, func(i int) error {
-		sc := makeScenario(*seed, i, *minSize, *maxSize, forced, forcedStrat, *engWrk)
+		sc := makeScenario(*seed, i, *minSize, *maxSize, forced, forcedStrat)
 		ch, err := sc.build()
 		if err != nil {
 			return fmt.Errorf("scenario %d (%s): generator failed: %w", i, sc.desc(), err)
@@ -219,7 +207,6 @@ func gatherfuzzMain() int {
 					Config:   sc.cfg(),
 					Strategy: sc.strategy(),
 					Sched:    sc.schedCfg(),
-					Workers:  sc.workers,
 					Round:    -1,
 					Err:      err.Error(),
 				}
@@ -229,8 +216,8 @@ func gatherfuzzMain() int {
 				_, serr := oracle.CheckWithOptions(sc.cfg(), c, sc.oracleOpts())
 				return serr != nil
 			})
-			return fmt.Errorf("scenario %d (%s): %w\nreproduce: gatherfuzz -seed %d -min-size %d -max-size %d -sched %s -strategy %s -workers %d -only %d\nshrunk witness:\n%s",
-				i, sc.desc(), err, *seed, *minSize, *maxSize, *schedFlag, *stratFlag, *engWrk, i, oracle.FormatSeed(minimal))
+			return fmt.Errorf("scenario %d (%s): %w\nreproduce: gatherfuzz -seed %d -min-size %d -max-size %d -sched %s -strategy %s -only %d\nshrunk witness:\n%s",
+				i, sc.desc(), err, *seed, *minSize, *maxSize, *schedFlag, *stratFlag, i, oracle.FormatSeed(minimal))
 		}
 		if !res.Gathered {
 			dnf.Add(1)
@@ -272,8 +259,8 @@ func gatherfuzzMain() int {
 	}
 
 	elapsed := time.Since(start)
-	fmt.Printf("gatherfuzz: %d scenarios, %d families x %d configs x sched %s x workers %s x strategy %s, sizes %d..%d, seed %d\n",
-		*scenarios, len(scenarioFamilies()), oracle.NumConfigs(), schedSpaceDesc(forced), workersSpaceDesc(*engWrk),
+	fmt.Printf("gatherfuzz: %d scenarios, %d families x %d configs x sched %s x strategy %s, sizes %d..%d, seed %d\n",
+		*scenarios, len(scenarioFamilies()), oracle.NumConfigs(), schedSpaceDesc(forced),
 		strategySpaceDesc(forcedStrat), *minSize, *maxSize, *seed)
 	fmt.Printf("divergences: 0\n")
 	fmt.Printf("gathered: %d, DNF within the non-FSYNC watchdog: %d\n",
@@ -306,15 +293,6 @@ func schedSpaceDesc(forced *sched.Config) string {
 	return fmt.Sprintf("mix(%d)", oracle.NumScheds())
 }
 
-// workersSpaceDesc names the engine-workers axis in the deterministic
-// summary.
-func workersSpaceDesc(pinned int) string {
-	if pinned > 0 {
-		return fmt.Sprintf("%d", pinned)
-	}
-	return "mix(1-8)"
-}
-
 // strategySpaceDesc names the strategy axis in the deterministic summary.
 func strategySpaceDesc(forced *core.StrategyName) string {
 	if forced != nil {
@@ -324,13 +302,12 @@ func strategySpaceDesc(forced *core.StrategyName) string {
 }
 
 // scenario is one fully derived (family, size, config, scheduler,
-// workers, strategy, seed) cell.
+// strategy, seed) cell.
 type scenario struct {
 	family      int
 	size        int
 	cfgSel      int
 	schedSel    int
-	workers     int
 	stratSel    int
 	forced      *sched.Config
 	forcedStrat *core.StrategyName
@@ -339,26 +316,24 @@ type scenario struct {
 
 // makeScenario derives scenario i of the campaign. All randomness flows
 // from TaskSeed(base, 0, i): the campaign is a pure function of the base
-// seed (and the -sched / -strategy / -workers overrides), and any cell can
-// be reproduced alone. The workers and strategy draws happen
-// unconditionally so pinning either changes only that axis, never the
-// rest of the cell.
-func makeScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName, pinnedWorkers int) scenario {
+// seed (and the -sched / -strategy overrides), and any cell can be
+// reproduced alone. The strategy draw happens unconditionally so pinning
+// it changes only that axis, never the rest of the cell.
+func makeScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName) scenario {
 	rng := rand.New(rand.NewSource(parallel.TaskSeed(base, 0, i)))
 	families := scenarioFamilies()
 	sc := scenario{
-		family:      rng.Intn(len(families)),
-		cfgSel:      rng.Intn(oracle.NumConfigs()),
-		schedSel:    rng.Intn(oracle.NumScheds()),
-		workers:     1 + rng.Intn(8),
-		stratSel:    rng.Intn(oracle.NumStrategies()),
-		forced:      forced,
-		forcedStrat: forcedStrat,
-		rngSeed:     rng.Int63(),
+		family:   rng.Intn(len(families)),
+		cfgSel:   rng.Intn(oracle.NumConfigs()),
+		schedSel: rng.Intn(oracle.NumScheds()),
 	}
-	if pinnedWorkers > 0 {
-		sc.workers = pinnedWorkers
-	}
+	// One draw in [0, 8) is discarded here so that scenario i of a seed
+	// stays the cell earlier releases of this harness drew (they spent it
+	// on a per-scenario engine setting), keeping -only reproductions valid.
+	rng.Intn(8)
+	sc.stratSel = rng.Intn(oracle.NumStrategies())
+	sc.forced, sc.forcedStrat = forced, forcedStrat
+	sc.rngSeed = rng.Int63()
 	// Log-uniform size: most scenarios small (where shapes are degenerate
 	// and bugs shrink nicely), a steady tail up to max-size.
 	lo, hi := float64(minSize), float64(maxSize)
@@ -367,11 +342,9 @@ func makeScenario(base int64, i, minSize, maxSize int, forced *sched.Config, for
 }
 
 // cfg maps the scenario's selector onto the shared fuzzing configuration
-// space, with the chunked-driver worker count layered on top.
+// space.
 func (sc scenario) cfg() core.Config {
-	cfg := oracle.ConfigFromByte(uint8(sc.cfgSel))
-	cfg.Workers = sc.workers
-	return cfg
+	return oracle.ConfigFromByte(uint8(sc.cfgSel))
 }
 
 // schedCfg is the scenario's activation model: the -sched override when
@@ -399,8 +372,8 @@ func (sc scenario) oracleOpts() oracle.Options {
 }
 
 func (sc scenario) desc() string {
-	return fmt.Sprintf("family=%s size=%d cfg=%d sched=%s strategy=%s workers=%d seed=%d",
-		scenarioFamilies()[sc.family], sc.size, sc.cfgSel, sc.schedCfg(), sc.strategy(), sc.workers, sc.rngSeed)
+	return fmt.Sprintf("family=%s size=%d cfg=%d sched=%s strategy=%s seed=%d",
+		scenarioFamilies()[sc.family], sc.size, sc.cfgSel, sc.schedCfg(), sc.strategy(), sc.rngSeed)
 }
 
 // build constructs the scenario's start configuration.
@@ -417,7 +390,7 @@ func (sc scenario) build() (*chain.Chain, error) {
 
 // resumeBundle replays a diagnostic bundle written by a failing campaign
 // (-bundle): it re-runs the recorded scenario — exact chain, configuration,
-// scheduler, strategy and worker count — through the conformance check and
+// scheduler and strategy — through the conformance check and
 // reports whether the divergence reproduces. Exit status: 0 when the
 // scenario now passes, 1 when the divergence reproduces, 2 when the bundle
 // cannot be read (corrupt, truncated, or the wrong artifact).
@@ -431,11 +404,7 @@ func resumeBundle(path string) int {
 	if b.Err != "" {
 		fmt.Printf("recorded failure: %s\n", b.Err)
 	}
-	cfg := b.Config
-	if b.Workers > 0 {
-		cfg.Workers = b.Workers
-	}
-	if _, err := oracle.CheckWithOptions(cfg, b.Scenario, oracle.Options{Sched: b.Sched, Strategy: b.Strategy}); err != nil {
+	if _, err := oracle.CheckWithOptions(b.Config, b.Scenario, oracle.Options{Sched: b.Sched, Strategy: b.Strategy}); err != nil {
 		fmt.Printf("divergence reproduces: %v\n", err)
 		return 1
 	}
@@ -444,8 +413,8 @@ func resumeBundle(path string) int {
 }
 
 // runScenario reproduces one scenario index in isolation (-only).
-func runScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName, pinnedWorkers int) (string, error) {
-	sc := makeScenario(base, i, minSize, maxSize, forced, forcedStrat, pinnedWorkers)
+func runScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName) (string, error) {
+	sc := makeScenario(base, i, minSize, maxSize, forced, forcedStrat)
 	ch, err := sc.build()
 	if err != nil {
 		return sc.desc(), err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,19 +19,34 @@ func TestResumeBundleReplaysCleanScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = 4
 	path := filepath.Join(t.TempDir(), "clean.bundle")
 	b := &sim.Bundle{
 		Label:    "scenario 7 (test)",
 		Scenario: ch,
-		Config:   cfg,
+		Config:   core.DefaultConfig(),
 		Strategy: core.StrategyPaper,
-		Workers:  4,
 		Round:    -1,
 	}
 	if err := sim.WriteBundle(path, b); err != nil {
 		t.Fatal(err)
+	}
+	if code := resumeBundle(path); code != 0 {
+		t.Fatalf("resumeBundle(%s) = %d, want 0", path, code)
+	}
+}
+
+// TestResumeLegacyWorkersBundle replays a bundle written by an earlier
+// release, whose config and top level still carry the retired engine
+// setting ("Workers":4 and "workers":4): the keys are ignored on decode and
+// the clean scenario replays with exit 0.
+func TestResumeLegacyWorkersBundle(t *testing.T) {
+	path := filepath.Join("testdata", "legacy_workers4.bundle")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"workers":4`)) || !bytes.Contains(data, []byte(`"Workers":4`)) {
+		t.Fatal("fixture lost its workers keys; it no longer tests the legacy format")
 	}
 	if code := resumeBundle(path); code != 0 {
 		t.Fatalf("resumeBundle(%s) = %d, want 0", path, code)

@@ -23,7 +23,7 @@ func presetList() string { return strings.Join(workload.PresetNames(), ", ") }
 // specConflicts are the flags that define the raw-flag config space; a
 // spec campaign owns those axes, so setting both is a contradiction the
 // harness refuses rather than silently resolving.
-var specConflicts = []string{"seed", "min-size", "max-size", "sched", "strategy", "workers"}
+var specConflicts = []string{"seed", "min-size", "max-size", "sched", "strategy"}
 
 // specMain runs a spec-driven conformance campaign (-spec): the declared
 // workload items replace the flag-built scenario space, and every item

@@ -58,7 +58,7 @@ Workload (what to simulate):
                  or a YAML file; the item carries its own chain, config,
                  scheduler and strategy, so -shape/-size/-seed and the
                  algorithm/scheduler/strategy flags are ignored (runtime
-                 knobs -check/-workers/-max-rounds/-max-wall still apply)
+                 knobs -check/-max-rounds/-max-wall still apply)
   -item N        the campaign item index -spec runs (default 0)
 
 Algorithm parameters (defaults are the paper's):
@@ -85,9 +85,6 @@ Strategy (default: the paper's algorithm):
 
 Execution and output:
   -check         per-round safety invariant checking (O(n)/round)
-  -workers P     phase-kernel workers of the engine's chunked driver
-                 (default 0 = sequential; DESIGN.md §9). A performance
-                 knob only: the simulation is byte-identical for every P
   -max-rounds N  override the liveness watchdog (default 0 = automatic:
                  %d*n+%d, scaled for non-FSYNC schedulers)
   -ascii N       print an ASCII frame every N rounds (default 0 = off)
@@ -104,7 +101,7 @@ Run lifecycle (DESIGN.md §11):
   -resume F      resume a checkpoint written by -checkpoint instead of
                  generating a chain (-shape/-size/-seed/-in and the
                  algorithm/scheduler flags are ignored: the checkpoint
-                 carries them; -workers/-check/-max-wall still apply)
+                 carries them; -check/-max-wall still apply)
 
 Examples:
   gathersim -shape spiral -size 512            # the classic worst case
@@ -140,7 +137,6 @@ func main() {
 		noRuns    = flag.Bool("merge-only", false, "disable runs (ablation)")
 		seqRuns   = flag.Bool("sequential", false, "disable pipelining (ablation)")
 		check     = flag.Bool("check", false, "enable per-round invariant checking")
-		workers   = flag.Int("workers", 0, "phase-kernel workers of the chunked driver (0 = sequential; byte-identical for every value)")
 		maxRounds = flag.Int("max-rounds", 0, "override the watchdog limit (0 = automatic)")
 		schedFlag = flag.String("sched", "fsync", "activation scheduler: fsync, rr:K, bounded:K[:p=P][:seed=S], random[:p=P][:seed=S]")
 		stratFlag = flag.String("strategy", "paper", "gathering strategy: "+strings.Join(core.StrategyNames(), ", "))
@@ -179,7 +175,6 @@ func main() {
 		// in the checkpoint; only runtime knobs come from flags.
 		ropts := sim.Options{
 			CheckInvariants: *check,
-			Workers:         *workers,
 			MaxWallTime:     *maxWall,
 		}
 		if rec != nil {
@@ -220,7 +215,6 @@ func main() {
 			}
 			opts = it.Options()
 			opts.CheckInvariants = *check
-			opts.Workers = *workers
 			opts.MaxWallTime = *maxWall
 			if *maxRounds > 0 {
 				opts.MaxRounds = *maxRounds
@@ -258,7 +252,6 @@ func main() {
 				MaxRounds:       *maxRounds,
 				Sched:           schedCfg,
 				Strategy:        strategy,
-				Workers:         *workers,
 				MaxWallTime:     *maxWall,
 				// gathersim is the experimentation CLI: -mergelen exists to
 				// explore the E11 livelock boundary, so the doomed-config

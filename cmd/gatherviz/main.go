@@ -33,7 +33,6 @@ func main() {
 		scale     = flag.Int("scale", 8, "SVG pixels per grid unit")
 		schedFlag = flag.String("sched", "fsync", "activation scheduler: fsync, rr:K, bounded:K[:p=P][:seed=S], random[:p=P][:seed=S]")
 		stratFlag = flag.String("strategy", "paper", "gathering strategy: "+strings.Join(core.StrategyNames(), ", "))
-		workers   = flag.Int("workers", 0, "phase-kernel workers of the chunked driver (0 = sequential; frames identical for every value)")
 	)
 	flag.Parse()
 
@@ -52,7 +51,7 @@ func main() {
 	rec := trace.NewRecorder()
 	rec.Every = *every
 	rec.InitialFrame(ch)
-	res, err := sim.Gather(ch, sim.Options{Observer: rec, Sched: schedCfg, Strategy: strategy, Workers: *workers})
+	res, err := sim.Gather(ch, sim.Options{Observer: rec, Sched: schedCfg, Strategy: strategy})
 	if err != nil {
 		fatal(err)
 	}

@@ -2,7 +2,6 @@ package benchdefs
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -76,24 +75,13 @@ func StepSquare512(b *testing.B) {
 // impractically slow to pin; with flat handle storage, O(1) splices and
 // the incremental bounding box it joins the committed trajectory.
 func GatherSquare4096(b *testing.B) {
-	gatherSquare(b, 1024, 0)
+	gatherSquare(b, 1024)
 }
 
-// GatherSquareWorkers4096 returns the n=4096 gathering benchmark pinned at
-// an explicit chunked-driver worker count (core.Config.Workers via
-// sim.Options, DESIGN.md §9). The trajectory records workers 1, 4 and 8;
-// the observable run is byte-identical across them, so only the timing
-// columns may differ.
-func GatherSquareWorkers4096(workers int) func(*testing.B) {
-	return func(b *testing.B) { gatherSquare(b, 1024, workers) }
-}
-
-// GatherSquare65536 is the scaling headline of the chunked phase-kernel
-// driver: the full gathering run on a 65536-robot square with one worker
-// per CPU. On a single-core machine it degenerates to the sequential
-// driver (the recorded trajectory notes the core count it ran on).
+// GatherSquare65536 is the mega-scale scaling probe: the full gathering
+// run on a 65536-robot square, 16× the robots of GatherSquare4096.
 func GatherSquare65536(b *testing.B) {
-	gatherSquare(b, 16384, runtime.NumCPU())
+	gatherSquare(b, 16384)
 }
 
 // LinTimeGatherSquare4096 is the strategy arena's wall-clock axis
@@ -123,9 +111,8 @@ func LinTimeGatherSquare4096(b *testing.B) {
 
 // gatherSquare is the shared body of the square-gather benchmarks: a full
 // run on the boundary of a side x side square (4*side robots), cloning the
-// reference chain per iteration, at the given chunked-driver worker count
-// (0 = the sequential default).
-func gatherSquare(b *testing.B, side, workers int) {
+// reference chain per iteration.
+func gatherSquare(b *testing.B, side int) {
 	ref, err := generate.Rectangle(side, side)
 	if err != nil {
 		b.Fatal(err)
@@ -134,7 +121,7 @@ func gatherSquare(b *testing.B, side, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Gather(ref.Clone(), sim.Options{Workers: workers})
+		res, err := sim.Gather(ref.Clone(), sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

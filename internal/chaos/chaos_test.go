@@ -67,7 +67,6 @@ func TestOracleCatchesArmedDefects(t *testing.T) {
 				Name:            "control",
 				Build:           walkBuilder(40+2*rng.Intn(40), rng.Int63()),
 				CheckpointRound: 1 + trial*3,
-				Workers:         1 + trial%4,
 			}
 			if err := RunOracle(s); err != nil {
 				t.Fatalf("clean scenario flagged: %v", err)
@@ -76,104 +75,71 @@ func TestOracleCatchesArmedDefects(t *testing.T) {
 	})
 }
 
-// TestWorkerStallKeepsBytes arms the timing fault — odd pool workers sleep
-// inside the merge-scan kernel — and demands byte-identical results: a
-// stall changes wall-clock, never behaviour, which is the determinism
-// contract the chunked driver makes.
-func TestWorkerStallKeepsBytes(t *testing.T) {
-	build := walkBuilder(128, 17)
-	run := func(stall bool) []byte {
-		ch, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := sim.NewEngine(ch, sim.Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stall {
-			e.Algorithm().InjectFaultAt(core.FaultWorkerStall, 2)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	if clean, stalled := run(false), run(true); !bytes.Equal(clean, stalled) {
-		t.Errorf("worker stall changed the result\nclean:   %s\nstalled: %s", clean, stalled)
-	}
-}
-
-// TestCancellationNeverTears cancels runs at several round boundaries,
-// worker counts and schedulers, and checks the full contract: the error
-// wraps context.Canceled, the Result is sealed exactly at the cancelled
+// TestCancellationNeverTears cancels runs at several round boundaries
+// and schedulers, and checks the full contract: the error wraps
+// context.Canceled, the Result is sealed exactly at the cancelled
 // boundary, and resuming from a post-cancel checkpoint reproduces the
 // uninterrupted outcome byte for byte.
 func TestCancellationNeverTears(t *testing.T) {
 	for _, sc := range []sched.Config{{}, {Kind: sched.BoundedAdversary, Seed: 21}} {
-		for _, workers := range []int{1, 4} {
-			for _, stop := range []int{1, 5, 9} {
-				t.Run(sc.String()+"_w"+strconv.Itoa(workers)+"@"+strconv.Itoa(stop), func(t *testing.T) {
-					// A spiral contracts for ~99 FSYNC rounds, so every
-					// cancel boundary below lands mid-run.
-					build := func() (*chain.Chain, error) { return generate.Spiral(6) }
-					ch, err := build()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := sim.Gather(ch, sim.Options{Workers: workers, Sched: sc})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := json.Marshal(ref)
-					if err != nil {
-						t.Fatal(err)
-					}
+		for _, stop := range []int{1, 5, 9} {
+			// Case names keep the _w1 label of the era when a worker count
+			// was swept; the engine has one round path.
+			t.Run(sc.String()+"_w1@"+strconv.Itoa(stop), func(t *testing.T) {
+				// A spiral contracts for ~99 FSYNC rounds, so every
+				// cancel boundary below lands mid-run.
+				build := func() (*chain.Chain, error) { return generate.Spiral(6) }
+				ch, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := sim.Gather(ch, sim.Options{Sched: sc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					s := Scenario{Name: "cancel", Build: build, CancelRound: stop, Workers: workers, Sched: sc}
-					res, runErr, e := RunCancel(s)
-					if !errors.Is(runErr, context.Canceled) {
-						t.Fatalf("got %v, want context.Canceled", runErr)
-					}
-					if res.Rounds != stop {
-						t.Fatalf("cancelled at round %d, want boundary %d", res.Rounds, stop)
-					}
-					if res.Gathered || res.FinalLen != e.Chain().Len() {
-						t.Fatalf("torn result: %+v vs chain len %d", res, e.Chain().Len())
-					}
+				s := Scenario{Name: "cancel", Build: build, CancelRound: stop, Sched: sc}
+				res, runErr, e := RunCancel(s)
+				if !errors.Is(runErr, context.Canceled) {
+					t.Fatalf("got %v, want context.Canceled", runErr)
+				}
+				if res.Rounds != stop {
+					t.Fatalf("cancelled at round %d, want boundary %d", res.Rounds, stop)
+				}
+				if res.Gathered || res.FinalLen != e.Chain().Len() {
+					t.Fatalf("torn result: %+v vs chain len %d", res, e.Chain().Len())
+				}
 
-					cp, err := e.Checkpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					rt, err := sim.Restore(cp, sim.Options{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					resumed, err := rt.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := json.Marshal(resumed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("resume after cancel diverged\ngot:  %s\nwant: %s", got, want)
-					}
-				})
-			}
+				cp, err := e.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, err := sim.Restore(cp, sim.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := rt.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(resumed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("resume after cancel diverged\ngot:  %s\nwant: %s", got, want)
+				}
+			})
 		}
 	}
 }
 
 // TestPanicCampaignIsolation is the panic-containment acceptance battery:
-// in a 12-cell campaign whose fifth cell panics on a pool worker, exactly
+// in a 12-cell campaign whose fifth cell panics in its first round, exactly
 // that cell fails — as a contained *sim.PanicError carrying the failing
 // round — every other cell gathers, and the failing cell reports the
 // deterministic task seed that reproduces it in isolation.
@@ -182,7 +148,7 @@ func TestPanicCampaignIsolation(t *testing.T) {
 		cells = 12
 		armed = 5
 	)
-	cellsOut := PanicCampaign(77, cells, armed, 4, 4)
+	cellsOut := PanicCampaign(77, cells, armed, 4)
 	if len(cellsOut) != cells {
 		t.Fatalf("campaign reported %d cells, want %d", len(cellsOut), cells)
 	}

@@ -60,13 +60,6 @@ type Config struct {
 	// merge-only ablation and by scenario tests that inject runs manually
 	// to reproduce the paper's figures.
 	DisableRunStarts bool
-	// Workers is the intra-round parallelism of the phase kernels: each
-	// look-phase kernel fans out over Workers contiguous chain chunks with
-	// a deterministic chunk-order reduction, so the observable round is
-	// byte-identical for every value (DESIGN.md §9). 0 and 1 both select
-	// the sequential driver; values above 1 spin up a persistent worker
-	// pool in New. Workers is a performance knob, never a semantic one.
-	Workers int
 }
 
 // DefaultConfig returns the paper's parameter set.
@@ -83,7 +76,6 @@ var (
 	ErrViewTooSmall = errors.New("core: viewing path length must be at least 7 (start patterns span 3 robots per side and merge detection needs k+1 <= V)")
 	ErrBadPeriod    = errors.New("core: run period must be positive")
 	ErrBadMergeLen  = errors.New("core: max merge length must be at least 1")
-	ErrBadWorkers   = errors.New("core: workers must not be negative")
 )
 
 // Validate checks the configuration and normalises dependent fields.
@@ -99,9 +91,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxMergeLen > c.ViewingPathLength-1 {
 		c.MaxMergeLen = c.ViewingPathLength - 1
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("%w (got %d)", ErrBadWorkers, c.Workers)
 	}
 	return nil
 }

@@ -11,11 +11,10 @@
 // a detail.
 //
 // Each round executes as a sequence of phase kernels over half-open
-// handle ranges (KernelMergeScan, KernelDecide, KernelStartScan, then the
-// internal move/resolve/apply kernels), fanned across Config.Workers
-// goroutines with a deterministic chunk-order reduction — the simulation
-// is byte-identical for every worker count. DESIGN.md §9 states the
-// ownership and seam rules each kernel obeys.
+// ranges (KernelMergeScan, KernelDecide, KernelStartScan, then the
+// internal move/resolve/apply kernels), run one after another on the
+// calling goroutine. DESIGN.md §9 states what each kernel reads and
+// writes.
 //
 // The package also defines the Strategy contract every consumer of a
 // gathering algorithm drives (DESIGN.md §10) and its registry

@@ -23,22 +23,15 @@ const (
 	// whites of an executing spike hop anyway, re-introducing the
 	// oscillation the rule exists to prevent.
 	FaultSkipSpikePriority
-	// FaultPanic panics inside the merge-scan kernel — on a pool worker
-	// goroutine when Config.Workers >= 2 — exercising the panic-isolation
-	// path: parallel.Pool must surface the panic on the dispatching
-	// goroutine and sim.Engine must convert it into a per-run error
-	// (internal/chaos).
+	// FaultPanic panics inside the merge-scan kernel, exercising the
+	// panic-isolation path: sim.Engine must convert it into a per-run
+	// error (internal/chaos).
 	FaultPanic
-	// FaultWorkerStall delays odd-numbered merge-scan workers, skewing the
-	// fan-out's completion order. Results must remain byte-identical: the
-	// chunk-order combine, not scheduling luck, defines the round
-	// (internal/chaos).
-	FaultWorkerStall
 )
 
 // valid reports whether f is a known fault value; restores reject snapshots
 // carrying faults this build does not know.
-func (f Fault) valid() bool { return f >= FaultNone && f <= FaultWorkerStall }
+func (f Fault) valid() bool { return f >= FaultNone && f <= FaultPanic }
 
 // String names the fault.
 func (f Fault) String() string {
@@ -51,8 +44,6 @@ func (f Fault) String() string {
 		return "skip-spike-priority"
 	case FaultPanic:
 		return "panic"
-	case FaultWorkerStall:
-		return "worker-stall"
 	default:
 		return fmt.Sprintf("Fault(%d)", int(f))
 	}

@@ -2,130 +2,35 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"gridgather/internal/chain"
-	"gridgather/internal/grid"
 	"gridgather/internal/view"
 )
 
 // This file holds the phase kernels StepActivated is built from
 // (DESIGN.md §9). Each look-phase kernel reads the frozen round state over
-// a half-open chunk [lo, hi) and writes only its own worker's buffers; the
-// driver then combines the per-worker buffers in worker (= chunk) order, so
-// the observable round is byte-identical for every Config.Workers value.
-// The mutation kernels (move, merge-resolve, apply) run sequentially over
-// explicit ranges — they ARE the seam-exchange step: every cross-chunk
-// interaction (edge-conflict fixpoint at a seam, a merge spanning a chunk
-// boundary, survivor-link rehosting) resolves here against the combined
-// buffers instead of behind locks.
-
-// startHop records a run-start hop detected by KernelStartScan; the driver
-// replays the per-worker lists into the round's startHops table in chunk
-// order, reproducing the sequential insertion order byte for byte.
-type startHop struct {
-	robot chain.Handle
-	hop   grid.Vec
-}
-
-// workerCtx is one worker's persistent kernel state. Buffers are reset by
-// the kernel that owns them at chunk entry and never re-allocated in steady
-// state, keeping the fan-out allocation-free (the PR 2 scratch-reuse rules
-// extended per worker).
-type workerCtx struct {
-	// loc is the worker-private view.RunLocator: the shared run registry
-	// read through a private scratch buffer, so concurrent snapshot
-	// evaluation cannot race on the engine's shared RunsOn buffer.
-	loc chunkLocator
-	// anomalies collects this worker's defensive-path counts; the driver
-	// folds them into the round total in worker order.
-	anomalies Anomalies
-
-	// KernelMergeScan output: spikes (k=1) and U-turns (k>=2), each in
-	// ascending chain order within the chunk.
-	spikes []MergePattern
-	uturns []MergePattern
-	// KernelDecide output, in run-registry order within the chunk.
-	decisions []runDecision
-	// KernelStartScan output, in chain order within the chunk.
-	pending   []pendingStart
-	startHops []startHop
-}
-
-// chunkLocator implements view.RunLocator over the algorithm's run
-// registry with a per-worker result buffer (the registry itself is
-// read-only during the look phase; only the scratch buffer needed
-// privatising).
-type chunkLocator struct {
-	a   *Algorithm
-	buf []view.RunView
-}
-
-// RunsOn implements view.RunLocator; see Algorithm.RunsOn for semantics.
-func (l *chunkLocator) RunsOn(h chain.Handle) []view.RunView {
-	l.buf = appendRunViews(&l.a.byHandle, h, l.buf[:0])
-	if len(l.buf) == 0 {
-		return nil
-	}
-	return l.buf
-}
-
-// appendRunViews appends the visible run states of robot h to dst: the one
-// registry read shared by the engine's locator and the per-worker ones.
-// Runs started in the current round are not yet visible (FSYNC semantics).
-func appendRunViews(byHandle *chain.Scratch[hostRuns], h chain.Handle, dst []view.RunView) []view.RunView {
-	hr, ok := byHandle.Get(h)
-	if !ok || hr.n == 0 {
-		return dst
-	}
-	for _, run := range hr.stored() {
-		if !run.justStarted {
-			dst = append(dst, view.RunView{Dir: run.Dir})
-		}
-	}
-	return dst
-}
-
-// forEachChunk fans fn over [0, n) in exactly len(a.workers) contiguous
-// chunks: through the worker pool when one exists (Workers >= 2), inline
-// otherwise. Chunk boundaries are a pure function of (n, P) — see
-// parallel.Pool — so combine steps that walk the workers in index order
-// are deterministic for any scheduling.
-func (a *Algorithm) forEachChunk(n int, fn func(worker, lo, hi int)) {
-	if a.pool != nil {
-		a.pool.Run(n, fn)
-		return
-	}
-	p := len(a.workers)
-	for w := 0; w < p; w++ {
-		fn(w, w*n/p, (w+1)*n/p)
-	}
-}
+// a half-open range [lo, hi) and writes only its own output buffers, which
+// it resets on entry; the mutation kernels (move, merge-resolve, apply)
+// then run over the combined round state.
 
 // KernelMergeScan detects the merge patterns whose first black robot lies
-// in chunk [lo, hi): spikes (k=1 direction reversals) and straight U-turns
-// (k>=2), exactly the pattern set of DetectMerges restricted to the chunk.
-// A U-turn run starting near the chunk's end is scanned past hi — reads may
-// cross the seam, writes never do — so a merge straddling a chunk boundary
-// is owned by the chunk holding its first black, and no seam coordination
-// is needed. The scan caps at MaxMergeLen edges: a longer run is rejected
-// whatever its true extent, which bounds the seam overlap at O(MaxMergeLen)
-// without changing any outcome.
+// in [lo, hi): spikes (k=1 direction reversals) and straight U-turns
+// (k>=2), exactly the pattern set of DetectMerges restricted to the range.
+// A U-turn run starting near hi is scanned past it, so a merge straddling
+// the range's end is reported whole by the range holding its first black.
+// The scan caps at MaxMergeLen edges: a longer run is rejected whatever
+// its true extent, without changing any outcome.
+//
+// The worker argument is unused; the benchmark harness still passes it.
 //
 // Kernel contract: reads the materialised ring order and positions; writes
-// only this worker's spikes/uturns buffers (reset on entry).
+// only the spike and U-turn buffers (reset on entry).
 func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
-	switch a.activeFault() {
-	case FaultPanic:
-		panic(fmt.Sprintf("core: injected kernel panic (worker %d, round %d)", worker, a.round))
-	case FaultWorkerStall:
-		if worker%2 == 1 {
-			time.Sleep(200 * time.Microsecond) // skew the fan-out's completion order
-		}
+	if a.activeFault() == FaultPanic {
+		panic(fmt.Sprintf("core: injected kernel panic (round %d)", a.round))
 	}
-	w := &a.workers[worker]
-	w.spikes = w.spikes[:0]
-	w.uturns = w.uturns[:0]
+	a.spikes = a.spikes[:0]
+	a.uturns = a.uturns[:0]
 	n := a.ch.Len()
 	if n < 3 || lo >= hi {
 		return
@@ -135,7 +40,7 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		cur := a.ch.Edge(i)
 		if prev.IsAxisUnit() && cur == prev.Neg() {
-			w.spikes = append(w.spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
+			a.spikes = append(a.spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
 		}
 		if cur != prev {
 			// Edge i starts a maximal straight run (a closed chain has at
@@ -149,7 +54,7 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 			if k := l + 1; l < maxLen && k+2 <= n {
 				after := a.ch.Edge(i + l)
 				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
-					w.uturns = append(w.uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
+					a.uturns = append(a.uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
 				}
 			}
 		}
@@ -157,20 +62,14 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 	}
 }
 
-// CombineMergePlan folds the per-worker KernelMergeScan buffers into the
-// round's merge plan in worker order — all spikes in ascending chain order,
-// then all U-turns in ascending chain order, reproducing DetectMerges'
-// pattern order byte for byte — and runs the sequential plan tail
-// (spike-priority suppression, participant set, combined hops).
+// CombineMergePlan folds the KernelMergeScan buffers into the round's
+// merge plan — all spikes in ascending chain order, then all U-turns in
+// ascending chain order, reproducing DetectMerges' pattern order byte for
+// byte — and runs the plan tail (spike-priority suppression, participant
+// set, combined hops).
 func (a *Algorithm) CombineMergePlan() error {
 	plan := a.plan
-	plan.Patterns = plan.Patterns[:0]
-	for i := range a.workers {
-		plan.Patterns = append(plan.Patterns, a.workers[i].spikes...)
-	}
-	for i := range a.workers {
-		plan.Patterns = append(plan.Patterns, a.workers[i].uturns...)
-	}
+	plan.Patterns = append(append(plan.Patterns[:0], a.spikes...), a.uturns...)
 	return plan.finish(a.ch, a.activeFault() != FaultSkipSpikePriority)
 }
 
@@ -178,19 +77,20 @@ func (a *Algorithm) CombineMergePlan() error {
 // a.runs against the frozen look-phase state. Runs whose host sleeps this
 // round are frozen (non-FSYNC schedulers).
 //
+// The worker argument is unused; the benchmark harness still passes it.
+//
 // Kernel contract: reads chain, merge plan and run registry; writes only
-// this worker's decisions buffer and anomaly counters (both reset on
-// entry). Snapshots are evaluated through the worker's private locator.
+// the decisions buffer (reset on entry) and adds to the round's anomaly
+// counters (reset by StepActivated).
 func (a *Algorithm) KernelDecide(worker, lo, hi int) {
-	w := &a.workers[worker]
-	w.decisions = w.decisions[:0]
-	w.anomalies = Anomalies{}
+	sc := &a.scratch
+	sc.decisions = sc.decisions[:0]
 	for _, run := range a.runs[lo:hi] {
 		if !activeAt(a.active, a.ch.IndexOf(run.Host)) {
-			w.decisions = append(w.decisions, runDecision{run: run, frozen: true})
+			sc.decisions = append(sc.decisions, runDecision{run: run, frozen: true})
 			continue
 		}
-		w.decisions = append(w.decisions, a.computeRunDecision(run, a.plan, &w.loc, &w.anomalies))
+		sc.decisions = append(sc.decisions, a.computeRunDecision(run))
 	}
 }
 
@@ -199,12 +99,14 @@ func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 // round gating and the SequentialRuns ablation are the driver's business;
 // the kernel always scans.
 //
+// The worker argument is unused; the benchmark harness still passes it.
+//
 // Kernel contract: reads chain, merge plan and run registry; writes only
-// this worker's pending/startHops buffers (reset on entry).
+// the pending-start list and the start-hop table (both reset on entry).
 func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
-	w := &a.workers[worker]
-	w.pending = w.pending[:0]
-	w.startHops = w.startHops[:0]
+	sc := &a.scratch
+	sc.pending = sc.pending[:0]
+	sc.startHops.Reset(a.ch.NumHandles())
 	for i := lo; i < hi; i++ {
 		if !activeAt(a.active, i) {
 			continue // sleeping robots look at nothing and start nothing
@@ -213,7 +115,7 @@ func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 		if a.plan.Participant(r) {
 			continue
 		}
-		s := view.At(a.ch, i, a.cfg.ViewingPathLength, &w.loc)
+		s := view.At(a.ch, i, a.cfg.ViewingPathLength, a)
 		spec, ok := DetectStart(s)
 		if !ok {
 			continue
@@ -222,12 +124,12 @@ func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 			continue // a robot stores at most two run states
 		}
 		for _, dir := range spec.Dirs {
-			w.pending = append(w.pending, pendingStart{
+			sc.pending = append(sc.pending, pendingStart{
 				robot: r, idx: i, dir: dir, kind: spec.Kind, pair: -1,
 			})
 		}
 		if !spec.Hop.IsZero() {
-			w.startHops = append(w.startHops, startHop{robot: r, hop: spec.Hop})
+			sc.startHops.Set(r, spec.Hop)
 		}
 	}
 }

@@ -53,10 +53,8 @@ type LinTime struct {
 
 // NewLinTime creates the contraction strategy for the chain (owned by the
 // strategy afterwards). The configuration is validated for parity with the
-// paper strategy, but only Workers is even nominally relevant: the
-// per-round work is a single O(n) pass, executed sequentially for every
-// worker count (a pure performance knob cannot change behaviour here
-// because there is no behaviour to chunk).
+// paper strategy, though none of its fields changes the contraction: the
+// per-round work is a single O(n) pass.
 func NewLinTime(ch *chain.Chain, cfg Config) (*LinTime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -181,9 +181,9 @@ func (plan *MergePlan) plan(ch *chain.Chain, maxLen int, spikePriority bool) err
 
 // finish turns the detected plan.Patterns into the executable plan:
 // spike-priority suppression, the participant set, and the combined
-// per-robot hops. It is the sequential tail shared by the one-shot
-// detection above and the engine's chunked detection kernels
-// (Algorithm.CombineMergePlan), which fill plan.Patterns themselves.
+// per-robot hops. It is the tail shared by the one-shot detection above
+// and the engine's merge-scan kernel (Algorithm.CombineMergePlan), which
+// fills plan.Patterns itself.
 func (plan *MergePlan) finish(ch *chain.Chain, spikePriority bool) error {
 	plan.Executing = plan.Executing[:0]
 	plan.Suppressed = 0

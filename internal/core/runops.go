@@ -47,11 +47,9 @@ func passBudgetFor(cfg Config) int { return 2 * cfg.ViewingPathLength }
 // computeRunDecision evaluates the paper's per-round runner rule (Fig 15,
 // step 2) for a single run: first the termination conditions of Table 1,
 // then run passing (continuation or trigger), then the traverse operations
-// (b)/(c), then the reshapement operation (a). loc and an are the calling
-// worker's private snapshot locator and anomaly counters (kernels.go): the
-// rule itself only reads shared round state, so chunks may evaluate it
-// concurrently.
-func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLocator, an *Anomalies) runDecision {
+// (b)/(c), then the reshapement operation (a). It reads the round's merge
+// plan and adds its defensive-path counts to the round's anomalies.
+func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 	d := runDecision{
 		run:             run,
 		mergeRobot:      -1,
@@ -68,14 +66,14 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 		d.terminate, d.reason = true, TermHostRemoved
 		return d
 	}
-	s := view.At(a.ch, idx, a.cfg.ViewingPathLength, loc)
+	s := view.At(a.ch, idx, a.cfg.ViewingPathLength, a)
 	dir := run.Dir
 	scanMax := min(a.cfg.ViewingPathLength, a.ch.Len()-1)
 
 	// Table 1.3 — the runner is part of a merge operation this round.
-	if plan.Participant(run.Host) {
+	if a.plan.Participant(run.Host) {
 		d.terminate, d.reason = true, TermMerge
-		d.mergeRobot = a.patternOf(idx, run.Dir, plan)
+		d.mergeRobot = a.patternOf(idx, run.Dir, a.plan)
 		return d
 	}
 
@@ -181,7 +179,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	if !cornerAt(s, dir) {
 		// A run should only stand mid-segment transiently; advance without
 		// hopping and let the structure ahead decide its fate.
-		an.NotOnCorner++
+		a.anomalies.NotOnCorner++
 		return d
 	}
 	switch sa := s.AlignedAhead(dir); {
@@ -201,7 +199,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	default:
 		// The segment ahead is shorter than any operation handles; the
 		// structure is about to resolve via a merge or condition 2.
-		an.ShortAhead++
+		a.anomalies.ShortAhead++
 	}
 	return d
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -92,46 +91,6 @@ func TestStrategySnapshotResumesIdentically(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestStrategySnapshotWorkers restores into a different worker count: the
-// chunked driver is byte-identical at every worker count, so a snapshot
-// taken at Workers=1 must finish identically under Workers=4.
-func TestStrategySnapshotWorkers(t *testing.T) {
-	ch, err := generate.Named("comb", 64, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(ch, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 9; i++ {
-		stepOK(t, ref)
-	}
-	snap, chSnap := ref.Snapshot(), ref.Chain().Snapshot()
-	ch4, err := chain.FromSnapshot(chSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg4 := DefaultConfig()
-	cfg4.Workers = 4
-	rt, err := RestoreStrategy(StrategyPaper, ch4, cfg4, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !ref.Gathered() {
-		stepOK(t, ref)
-		if _, err := rt.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !rt.Gathered() {
-		t.Fatal("Workers=4 restore did not gather in step with the original")
-	}
-	if ref.Round() != rt.Round() {
-		t.Fatalf("round counters diverge: %d vs %d", ref.Round(), rt.Round())
 	}
 }
 

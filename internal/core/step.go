@@ -5,7 +5,6 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
-	"gridgather/internal/parallel"
 	"gridgather/internal/view"
 )
 
@@ -86,24 +85,15 @@ type Algorithm struct {
 	// Step moves them into the report.
 	anomalies Anomalies
 
-	// workers holds the per-chunk kernel state (always at least one
-	// entry); pool is the persistent goroutine pool fanning the look-phase
-	// kernels out when cfg.Workers >= 2, nil on the sequential path. See
-	// kernels.go and DESIGN.md §9.
-	workers []workerCtx
-	pool    *parallel.Pool
+	// spikes and uturns are KernelMergeScan's output (k=1 and k>=2
+	// patterns, each in ascending chain order), folded into plan by
+	// CombineMergePlan. See kernels.go and DESIGN.md §9.
+	spikes []MergePattern
+	uturns []MergePattern
 
 	// active is the current round's activation set (nil = FSYNC), stored
-	// so the chunked kernels can consult it without threading a parameter
-	// through the pool.
+	// so the kernels can consult it without an extra parameter.
 	active []bool
-
-	// Kernel closures bound once at construction, so the per-round
-	// fan-out dispatches stored func values instead of allocating method
-	// bindings.
-	kMergeScan func(worker, lo, hi int)
-	kDecide    func(worker, lo, hi int)
-	kStartScan func(worker, lo, hi int)
 }
 
 // New creates an Algorithm for the chain with the given configuration.
@@ -125,17 +115,6 @@ func New(ch *chain.Chain, cfg Config) (*Algorithm, error) {
 	}
 	// Size the per-handle tables once; every later Reset is O(1).
 	a.byHandle.Reset(ch.NumHandles())
-	p := max(cfg.Workers, 1)
-	a.workers = make([]workerCtx, p)
-	for i := range a.workers {
-		a.workers[i].loc.a = a
-	}
-	if p > 1 {
-		a.pool = parallel.NewPool(p)
-	}
-	a.kMergeScan = a.KernelMergeScan
-	a.kDecide = a.KernelDecide
-	a.kStartScan = a.KernelStartScan
 	return a, nil
 }
 
@@ -158,11 +137,18 @@ func (a *Algorithm) Runs() []*Run { return a.runs }
 // is a shared scratch buffer, valid until the next RunsOn call; the view
 // predicates (HasRunTowards/HasRunAway) consume it immediately.
 func (a *Algorithm) RunsOn(h chain.Handle) []view.RunView {
-	a.scratch.runViews = appendRunViews(&a.byHandle, h, a.scratch.runViews[:0])
-	if len(a.scratch.runViews) == 0 {
+	hr, _ := a.byHandle.Get(h) // the zero entry hosts no runs
+	views := a.scratch.runViews[:0]
+	for _, run := range hr.stored() {
+		if !run.justStarted {
+			views = append(views, view.RunView{Dir: run.Dir})
+		}
+	}
+	a.scratch.runViews = views
+	if len(views) == 0 {
 		return nil
 	}
-	return a.scratch.runViews
+	return views
 }
 
 // Gathered reports whether the configuration satisfies the termination
@@ -310,17 +296,14 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc := &a.scratch
 	nh := a.ch.NumHandles()
 	n := a.ch.Len()
-	// Materialise the lazy ring-order cache before any fan-out: the
-	// look-phase kernels read it lock-free, so the one mutation it hides
-	// (reindex) must happen here, on the driver.
+	// Materialise the lazy ring-order cache before the look phase, so the
+	// kernels only ever read it.
 	a.ch.Handles()
 
 	// ---- Look & compute -------------------------------------------------
 	// 1. Merge patterns (Fig 15 step 1). Participants suspend run
-	//    operations; blacks hop towards the whites. Each chunk detects the
-	//    patterns starting inside it (reads may cross the seam, writes
-	//    never do); the combine folds them in chunk order.
-	a.forEachChunk(n, a.kMergeScan)
+	//    operations; blacks hop towards the whites.
+	a.KernelMergeScan(0, 0, n)
 	if err := a.CombineMergePlan(); err != nil {
 		return rep, err
 	}
@@ -334,34 +317,22 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	for _, run := range a.runs {
 		run.justStarted = false
 	}
-	a.forEachChunk(len(a.runs), a.kDecide)
-	decisions := sc.decisions[:0]
-	for i := range a.workers {
-		decisions = append(decisions, a.workers[i].decisions...)
-		a.anomalies.Add(a.workers[i].anomalies)
-	}
-	sc.decisions = decisions
+	a.KernelDecide(0, 0, len(a.runs))
+	decisions := sc.decisions
 
 	// 3. Run starts (Fig 15 step 3): every L-th round, robots matching the
 	//    Fig 5 patterns start runs, unless they take part in a merge. The
-	//    pending lists and start hops combine in chunk order, reproducing
-	//    the sequential chain-order scan.
-	pending := sc.pending[:0]
+	//    start lists are reset here too, so a round that scans nothing
+	//    never sees a between-rounds kernel call's output.
+	sc.pending = sc.pending[:0]
 	sc.startHops.Reset(nh)
 	if !a.cfg.DisableRunStarts &&
 		a.round%a.cfg.RunPeriod == 0 && n >= MinChainForRuns &&
 		(!a.cfg.SequentialRuns || len(a.runs) == 0) {
-		a.forEachChunk(n, a.kStartScan)
-		for i := range a.workers {
-			w := &a.workers[i]
-			pending = append(pending, w.pending...)
-			for _, sh := range w.startHops {
-				sc.startHops.Set(sh.robot, sh.hop)
-			}
-		}
-		a.pairStarts(pending)
+		a.KernelStartScan(0, 0, n)
+		a.pairStarts(sc.pending)
 	}
-	sc.pending = pending
+	pending := sc.pending
 
 	// ---- Move -----------------------------------------------------------
 	// Collect all hops; apply simultaneously. A robot receives at most one

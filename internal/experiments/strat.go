@@ -47,7 +47,7 @@ func runStratCell(p Params, shape string, size int, strat core.StrategyName, rng
 	}
 	n := ch.Len()
 	diam := ch.Diameter()
-	res, err := sim.Gather(ch, sim.Options{Strategy: strat, Workers: p.EngineWorkers})
+	res, err := sim.Gather(ch, sim.Options{Strategy: strat})
 	if err != nil {
 		return stratSample{}, fmt.Errorf("E-strat %s %s: %w", strat, shape, err)
 	}

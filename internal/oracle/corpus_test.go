@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gridgather/internal/chain"
-	"gridgather/internal/core"
 	"gridgather/internal/generate"
 	"gridgather/internal/oracle"
 )
@@ -76,28 +75,24 @@ func corpusChains(t *testing.T) map[string]*chain.Chain {
 
 // engineCorpusEntry renders one FuzzEngineVsOracle corpus file: the chain
 // as its byte walk plus a configuration selector, an activation scheduler
-// selector (0 = FSYNC), a worker-count selector (0 = sequential driver;
-// w selects 1+w%8 phase-kernel workers), a strategy selector (0 = paper),
-// and a checkpoint-round selector (0 = no mid-run codec round-trip).
-func engineCorpusEntry(ch *chain.Chain, cfgSel, schedSel, wrkSel, stratSel, ckptSel uint8) string {
-	return rawEngineCorpusEntry(generate.ToBytes(ch), cfgSel, schedSel, wrkSel, stratSel, ckptSel)
+// selector (0 = FSYNC), a strategy selector (0 = paper), and a
+// checkpoint-round selector (0 = no mid-run codec round-trip).
+func engineCorpusEntry(ch *chain.Chain, cfgSel, schedSel, stratSel, ckptSel uint8) string {
+	return rawEngineCorpusEntry(generate.ToBytes(ch), cfgSel, schedSel, stratSel, ckptSel)
 }
 
 // rawEngineCorpusEntry is engineCorpusEntry for a hand-crafted byte walk
-// (the seam seed below is defined by its bytes, not by a generator).
-func rawEngineCorpusEntry(data []byte, cfgSel, schedSel, wrkSel, stratSel, ckptSel uint8) string {
-	return fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\nbyte(%q)\nbyte(%q)\nbyte(%q)\n",
-		data, rune(cfgSel), rune(schedSel), rune(wrkSel), rune(stratSel), rune(ckptSel))
+// (the merge seed below is defined by its bytes, not by a generator).
+func rawEngineCorpusEntry(data []byte, cfgSel, schedSel, stratSel, ckptSel uint8) string {
+	return fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\nbyte(%q)\nbyte(%q)\n",
+		data, rune(cfgSel), rune(schedSel), rune(stratSel), rune(ckptSel))
 }
 
-// seamSeedData is the committed seam-heavy FuzzEngineVsOracle seed: a
-// 17-byte walk whose repaired chain (n = 18) contains a k=2 merge pattern
-// with blacks at indices 3–4 — straddling the Workers=4 chunk boundary at
-// index 4 (chunks of 18 split [0,4)[4,9)[9,13)[13,18)). Paired with
-// workers selector 3 (= 4 workers) it starts the fuzzer directly on the
-// cross-chunk merge path; TestSeamCorpusSeed pins the straddle so corpus
-// regeneration cannot silently lose it.
-var seamSeedData = []byte{1, 0, 0, 3, 2, 3, 2, 0, 2, 3, 0, 0, 1, 1, 2, 3, 1}
+// mergeSeedData is a hand-crafted FuzzEngineVsOracle seed: a 17-byte walk
+// whose repaired chain (n = 18) contains a k=2 merge pattern with blacks
+// at indices 3–4, so the fuzzer starts on a multi-black merge in a small
+// ring.
+var mergeSeedData = []byte{1, 0, 0, 3, 2, 3, 2, 0, 2, 3, 0, 0, 1, 1, 2, 3, 1}
 
 // familyCorpusEntry renders one FuzzGenerateFamilies corpus file.
 func familyCorpusEntry(family uint8, size uint16, seed int64) string {
@@ -115,23 +110,22 @@ func TestSeedCorpus(t *testing.T) {
 	i := 0
 	for _, name := range sortedKeys(chains) {
 		// Spread the committed seeds across the configuration, scheduler,
-		// worker, strategy and checkpoint spaces so the corpus alone
-		// already covers several (V, L) points, every activation model (the
-		// stride 3 is coprime to the 7-scheduler space), every worker count
-		// 1–8 (one step per entry through the 8-value space), both
-		// registered strategies (alternating per entry) and a rotation of
-		// mid-run checkpoint rounds (entry 0 keeps the axis off, preserving
-		// one legacy-shaped seed).
+		// strategy and checkpoint spaces so the corpus alone already covers
+		// several (V, L) points, every activation model (the stride 3 is
+		// coprime to the 7-scheduler space), both registered strategies
+		// (alternating per entry) and a rotation of mid-run checkpoint
+		// rounds (entry 0 keeps the axis off, preserving one legacy-shaped
+		// seed).
 		expect[filepath.Join("FuzzEngineVsOracle", name)] = engineCorpusEntry(
-			chains[name], uint8(i%50), uint8((i/7*3)%oracle.NumScheds()), uint8((i/7)%8),
+			chains[name], uint8(i%50), uint8((i/7*3)%oracle.NumScheds()),
 			uint8((i/7)%oracle.NumStrategies()), uint8((i/7)%(oracle.MaxCheckpointRound+1)))
 		i += 7
 	}
-	// The seam seed stays pinned to the paper strategy (selector 0) with
-	// no checkpoint round-trip: its purpose is the paper merge kernel's
-	// cross-chunk resolution path, undisturbed.
+	// The merge seed stays pinned to the paper strategy (selector 0) under
+	// FSYNC with no checkpoint round-trip: its purpose is the paper merge
+	// kernel, undisturbed. Its file keeps its historical name.
 	expect[filepath.Join("FuzzEngineVsOracle", "seam_merge_boundary")] =
-		rawEngineCorpusEntry(seamSeedData, 0, 0, 3, 0, 0)
+		rawEngineCorpusEntry(mergeSeedData, 0, 0, 0, 0)
 	for fi, name := range generate.Names() {
 		expect[filepath.Join("FuzzGenerateFamilies", "family_"+name)] = familyCorpusEntry(uint8(fi), 24, 7)
 		expect[filepath.Join("FuzzGenerateFamilies", "family_"+name+"_large")] = familyCorpusEntry(uint8(fi), 300, 11)
@@ -170,40 +164,6 @@ func TestSeedCorpus(t *testing.T) {
 				t.Errorf("unexpected corpus file %s/%s: crashers must be triaged into regression tests", dir, e.Name())
 			}
 		}
-	}
-}
-
-// TestSeamCorpusSeed pins the property the seam seed is committed for: its
-// decoded chain must contain a k>=2 merge pattern whose black range
-// straddles a Workers=4 chunk boundary, and the engine must stay in
-// lockstep with the model on it under the chunked driver. If a decoder or
-// repair change ever shifts the chain, this fails loudly instead of the
-// corpus silently losing its cross-chunk coverage.
-func TestSeamCorpusSeed(t *testing.T) {
-	ch, err := generate.FromBytes(seamSeedData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := ch.Len()
-	const workers = 4
-	straddles := false
-	for _, p := range core.DetectMerges(ch, core.DefaultMaxMergeLen) {
-		if p.Len < 2 {
-			continue
-		}
-		for w := 1; w < workers; w++ {
-			if b := w * n / workers; p.FirstBlack < b && b <= p.FirstBlack+p.Len-1 {
-				straddles = true
-			}
-		}
-	}
-	if !straddles {
-		t.Fatalf("seam seed (n=%d) no longer contains a merge straddling a Workers=%d chunk boundary", n, workers)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	if _, err := oracle.Check(cfg, ch, 0); err != nil {
-		t.Fatalf("seam seed diverges under the chunked driver: %v", err)
 	}
 }
 

@@ -25,34 +25,31 @@ const fuzzMaxStepsSched = 192
 
 // FuzzEngineVsOracle decodes arbitrary bytes into a valid closed chain
 // (generate.FromBytes), picks a configuration from the ablation space, an
-// activation scheduler from the scheduler space, a worker count (1–8, the
-// chunked phase-kernel driver) from the workers byte, a gathering strategy
-// from the strategy byte, and a mid-run checkpoint round from the
-// checkpoint byte, and runs the conformance check: engine-vs-model
-// lockstep for the paper strategy, the battery-plus-watchdog path for
-// strategies without a model mirror. Scheduler selector 0 is FSYNC,
-// workers selector 0 is the sequential driver, strategy selector 0 is the
+// activation scheduler from the scheduler space, a gathering strategy from
+// the strategy byte, and a mid-run checkpoint round from the checkpoint
+// byte, and runs the conformance check: engine-vs-model lockstep for the
+// paper strategy, the battery-plus-watchdog path for strategies without a
+// model mirror. Scheduler selector 0 is FSYNC, strategy selector 0 is the
 // paper strategy and checkpoint selector 0 disables the codec round-trip,
 // so legacy corpus entries keep their meaning. The model knows nothing
-// about workers or checkpoints — any chunking artefact (a seam-split
-// merge, a mis-combined buffer) and any checkpoint-codec infidelity (state
-// dropped, distorted or smuggled through a mid-run snapshot/restore)
-// surfaces as a lockstep divergence. On a divergence the failing chain is
-// shrunk (under the same config, scheduler, worker count, strategy and
-// checkpoint round) and printed as a ready-to-paste seed.
+// about checkpoints — any checkpoint-codec infidelity (state dropped,
+// distorted or smuggled through a mid-run snapshot/restore) surfaces as a
+// lockstep divergence. On a divergence the failing chain is shrunk (under
+// the same config, scheduler, strategy and checkpoint round) and printed
+// as a ready-to-paste seed.
 func FuzzEngineVsOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(61))
 	for i, name := range generate.Names() {
 		if ch, err := generate.Named(name, 16, rng); err == nil {
-			f.Add(generate.ToBytes(ch), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-			// One non-FSYNC, multi-worker, mid-run-checkpointed seed per
-			// family, alternating the strategy, so the mutator starts with
-			// every axis already open.
-			f.Add(generate.ToBytes(ch), uint8(i), uint8(1+i%(oracle.NumScheds()-1)), uint8(i%8),
+			f.Add(generate.ToBytes(ch), uint8(0), uint8(0), uint8(0), uint8(0))
+			// One non-FSYNC, mid-run-checkpointed seed per family,
+			// alternating the strategy, so the mutator starts with every
+			// axis already open.
+			f.Add(generate.ToBytes(ch), uint8(i), uint8(1+i%(oracle.NumScheds()-1)),
 				uint8(i%oracle.NumStrategies()), uint8(1+i%oracle.MaxCheckpointRound))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, cfgSel, schedSel, wrkSel, stratSel, ckptSel uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, cfgSel, schedSel, stratSel, ckptSel uint8) {
 		opts := oracle.Options{
 			Sched:           oracle.SchedFromByte(schedSel),
 			Strategy:        oracle.StrategyFromByte(stratSel),
@@ -70,7 +67,6 @@ func FuzzEngineVsOracle(f *testing.F) {
 			t.Skip() // only the empty input
 		}
 		cfg := oracle.ConfigFromByte(cfgSel)
-		cfg.Workers = 1 + int(wrkSel)%8
 		if _, err := oracle.CheckWithOptions(cfg, ch, opts); err != nil {
 			minimal := oracle.Shrink(ch.Positions(), func(c *chain.Chain) bool {
 				_, serr := oracle.CheckWithOptions(cfg, c, opts)

@@ -124,11 +124,11 @@ func TestStrategyFromByteSpace(t *testing.T) {
 	}
 }
 
-// TestStrategyPathSweepsConfigAndWorkers runs lintime across the fuzzing
-// configuration space and the worker counts on a mixed workload set: the
-// contraction ignores (V, L) and Workers by design, so every point must
-// behave identically — gather under FSYNC with a clean battery.
-func TestStrategyPathSweepsConfigAndWorkers(t *testing.T) {
+// TestStrategyPathSweepsConfig runs lintime across the fuzzing
+// configuration space on a mixed workload set: the contraction ignores
+// (V, L) by design, so every point must behave identically — gather under
+// FSYNC with a clean battery.
+func TestStrategyPathSweepsConfig(t *testing.T) {
 	ch, err := generate.RandomClosedWalk(96, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,6 @@ func TestStrategyPathSweepsConfigAndWorkers(t *testing.T) {
 	wantRounds := -1
 	for sel := 0; sel < oracle.NumConfigs(); sel += 7 {
 		cfg := oracle.ConfigFromByte(uint8(sel))
-		cfg.Workers = 1 + sel%8
 		res, err := oracle.CheckWithOptions(cfg, ch.Clone(), oracle.Options{Strategy: core.StrategyLinTime})
 		if err != nil {
 			t.Fatalf("config selector %d: %v", sel, err)
@@ -147,7 +146,7 @@ func TestStrategyPathSweepsConfigAndWorkers(t *testing.T) {
 		if wantRounds == -1 {
 			wantRounds = res.Rounds
 		} else if res.Rounds != wantRounds {
-			t.Fatalf("config selector %d: %d rounds, the contraction must ignore (V, L, Workers) (want %d)",
+			t.Fatalf("config selector %d: %d rounds, the contraction must ignore (V, L) (want %d)",
 				sel, res.Rounds, wantRounds)
 		}
 	}

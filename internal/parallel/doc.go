@@ -9,8 +9,4 @@
 // tasks. Under that contract the output of Run is bit-identical for every
 // worker count, which is what lets `gatherbench -parallel 1` and
 // `-parallel 8` produce byte-identical tables.
-//
-// The same pool also backs the core engine's chunked phase-kernel driver
-// (core.Config.Workers, DESIGN.md §9), which reuses one long-lived Pool
-// across rounds so the per-round fan-out stays allocation-free.
 package parallel

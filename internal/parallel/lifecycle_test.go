@@ -4,65 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
-
-func TestPoolRunRepanicsWorkerPanic(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("Run did not re-panic")
-			}
-			tp, ok := r.(*TaskPanic)
-			if !ok {
-				t.Fatalf("panic value is %T, want *TaskPanic", r)
-			}
-			if tp.Worker != 2 {
-				t.Fatalf("Worker = %d, want 2", tp.Worker)
-			}
-			if want := "boom"; fmt.Sprint(tp.Value) != want {
-				t.Fatalf("Value = %v, want %q", tp.Value, want)
-			}
-			if len(tp.Stack) == 0 {
-				t.Fatal("no stack captured")
-			}
-			if !strings.Contains(tp.Error(), "worker 2 panicked: boom") {
-				t.Fatalf("Error() = %q", tp.Error())
-			}
-		}()
-		p.Run(8, func(worker, lo, hi int) {
-			if worker == 2 {
-				panic("boom")
-			}
-		})
-	}()
-
-	// The pool must stay usable after a contained panic.
-	var ran atomic.Int32
-	p.Run(8, func(worker, lo, hi int) { ran.Add(int32(hi - lo)) })
-	if ran.Load() != 8 {
-		t.Fatalf("post-panic Run covered %d indices, want 8", ran.Load())
-	}
-}
-
-func TestPoolRunKeepsLowestPanickingWorker(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	defer func() {
-		tp, ok := recover().(*TaskPanic)
-		if !ok || tp.Worker != 0 {
-			t.Fatalf("recovered %+v, want worker 0", tp)
-		}
-	}()
-	p.Run(4, func(worker, lo, hi int) { panic(worker) })
-	t.Fatal("unreachable")
-}
 
 func TestForEachPanicIsTypedError(t *testing.T) {
 	for _, workers := range []int{1, 4} {

@@ -11,9 +11,7 @@
 // the golden-fixture and conformance machinery, so a SHA-256 over exactly
 // those fields is a sound address for the pinned Result. Runtime knobs that
 // provably cannot change bytes (wall-clock limits, invariant checking) stay
-// out of the key; the engine worker count is folded in conservatively via
-// Config.Workers even though the Workers byte-identity battery proves it
-// semantically inert.
+// out of the key.
 //
 // POST /campaign lifts admission from one job to a whole declarative
 // workload spec (internal/workload): the YAML body expands

@@ -73,12 +73,6 @@ type JobSpec struct {
 	// (scenario, options, budget), so different budgets are different
 	// results.
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// Workers sets the engine's intra-round parallelism. Byte-identity
-	// across worker counts is a pinned property of the engine, but the
-	// cache key still includes it (folded into Config.Workers) — the
-	// cache must stay sound even if that property ever regresses, at the
-	// price of a conservative miss.
-	Workers int `json:"workers,omitempty"`
 }
 
 // options lifts the spec's parameter fields into engine options. Runtime
@@ -90,7 +84,6 @@ func (s JobSpec) options() sim.Options {
 		Strategy:  s.Strategy,
 		Sched:     s.Sched,
 		MaxRounds: s.MaxRounds,
-		Workers:   s.Workers,
 	}
 }
 
@@ -134,8 +127,7 @@ type keyPayload struct {
 	// walk, independent of how the spec described it (raw bytes before
 	// repair, or a generator family).
 	Scenario []byte
-	// Config is the defaulted, validated parameter set with the spec's
-	// Workers override already folded in.
+	// Config is the defaulted, validated parameter set.
 	Config core.Config
 	// Strategy is the parsed canonical name ("" for paper), so the spec
 	// spellings "" and "paper" share a slot.
@@ -156,9 +148,6 @@ func cacheKey(ch *chain.Chain, opts sim.Options) (string, error) {
 	cfg := opts.Config
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
-	}
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
 	}
 	if err := cfg.Validate(); err != nil {
 		return "", err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -182,10 +183,45 @@ func mustKey(t *testing.T, spec JobSpec) string {
 	return k
 }
 
+// TestLegacyWorkersJobSharesKey posts a POST /jobs body written by an
+// earlier client, which still carries the retired engine setting
+// ("workers":4, and "Workers":0 inside config): the keys are ignored on
+// decode, so the job is admitted under the same cache key as the same
+// spec without them.
+func TestLegacyWorkersJobSharesKey(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "legacy_workers4_job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"workers":4`)) {
+		t.Fatal(`fixture lost its "workers":4 key; it no longer tests the legacy format`)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode >= 300 {
+		t.Fatalf("legacy body refused with %d: %s", resp.StatusCode, raw)
+	}
+	var v jobView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("submit response %q: %v", raw, err)
+	}
+	if want := mustKey(t, JobSpec{Shape: "walk", Size: 64, Seed: 1}); v.Key != want {
+		t.Fatalf("legacy body keyed %s, want %s (the key of the same spec without workers)", v.Key, want)
+	}
+}
+
 // TestCacheKeyPerturbations pins the key's sensitivity: every field that
 // can change simulation bytes changes the key (a single perturbation of
-// seed, scheduler, strategy, workers, round budget or one scenario byte
-// misses), and spellings of the same content collide (hit).
+// seed, scheduler, strategy, round budget or one scenario byte misses),
+// and spellings of the same content collide (hit).
 func TestCacheKeyPerturbations(t *testing.T) {
 	base := JobSpec{Shape: "walk", Size: 64, Seed: 1}
 	kb := mustKey(t, base)
@@ -211,7 +247,6 @@ func TestCacheKeyPerturbations(t *testing.T) {
 		"sched-kind":     {Shape: "walk", Size: 64, Seed: 1, Sched: sched.Config{Kind: sched.RoundRobin, K: 2}},
 		"sched-seed":     {Shape: "walk", Size: 64, Seed: 1, Sched: sched.Config{Kind: sched.Random, Seed: 7}},
 		"strategy":       {Shape: "walk", Size: 64, Seed: 1, Strategy: core.StrategyLinTime},
-		"workers":        {Shape: "walk", Size: 64, Seed: 1, Workers: 2},
 		"max-rounds":     {Shape: "walk", Size: 64, Seed: 1, MaxRounds: 777},
 	}
 	seen := map[string]string{"base": kb}

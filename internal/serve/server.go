@@ -34,8 +34,8 @@ const (
 // sixteen-deep queue, no wall-clock cap, no spool directory.
 type Config struct {
 	// Workers is the size of the job worker pool — how many engines run
-	// concurrently. Defaults to 2. This is inter-job parallelism; each
-	// job's own intra-round parallelism is its spec's Workers field.
+	// concurrently. Defaults to 2. Each job's engine steps its rounds
+	// sequentially.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-unstarted jobs. A
 	// submission that would exceed it is refused with 429 — backpressure

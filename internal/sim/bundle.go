@@ -43,12 +43,11 @@ type Bundle struct {
 	// codec's (positions only), which re-validates the closed-chain
 	// invariants on decode.
 	Scenario *chain.Chain `json:"scenario"`
-	// Config, Strategy, Sched, Workers and MaxRounds reproduce the failing
-	// engine exactly.
+	// Config, Strategy, Sched and MaxRounds reproduce the failing engine
+	// exactly.
 	Config    core.Config       `json:"config"`
 	Strategy  core.StrategyName `json:"strategy"`
 	Sched     sched.Config      `json:"sched"`
-	Workers   int               `json:"workers,omitempty"`
 	MaxRounds int               `json:"maxRounds,omitempty"`
 	// Round is the round the failure surfaced in, -1 when unknown.
 	Round int `json:"round"`

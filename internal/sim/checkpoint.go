@@ -33,13 +33,13 @@ var (
 
 // Checkpoint is the complete resumable state of an Engine at a round
 // boundary: run Restore on it and the resumed engine finishes with the
-// byte-identical Result an uninterrupted run would have produced, at any
-// worker count (DESIGN.md §11). Engine.Checkpoint captures one; Encode and
+// byte-identical Result an uninterrupted run would have produced
+// (DESIGN.md §11). Engine.Checkpoint captures one; Encode and
 // DecodeCheckpoint move it through the CRC-sealed envelope shared with
 // Bundle.
 type Checkpoint struct {
 	// The semantic run parameters. Runtime-only knobs — Observer,
-	// CheckInvariants, Workers, wall-clock limits — are deliberately
+	// CheckInvariants, wall-clock limits — are deliberately
 	// absent: they belong to the resuming process and are supplied to
 	// Restore via its Options.
 	Config         core.Config       `json:"config"`
@@ -114,16 +114,13 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Restore rebuilds an engine from a checkpoint. The checkpoint supplies
 // every semantic parameter (config, strategy, scheduler, watchdog budget);
 // opts contributes only the runtime-side knobs — CheckInvariants, Observer,
-// Workers, Deadline/MaxWallTime — so the same checkpoint can resume under a
-// different worker count or with invariant checking switched on without
-// changing the simulated outcome. Every structural claim the checkpoint
+// Deadline/MaxWallTime — so the same checkpoint can resume with invariant
+// checking switched on or under a wall-clock limit without changing the
+// simulated outcome. Every structural claim the checkpoint
 // makes is re-validated from scratch; a checkpoint that decodes but lies is
 // rejected with ErrCheckpointCorrupt.
 func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 	cfg := cp.Config
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
-	}
 	ch, err := chain.FromSnapshot(cp.Chain)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
@@ -175,7 +172,6 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 		CheckInvariants: opts.CheckInvariants,
 		Observer:        opts.Observer,
 		Sched:           cp.Sched,
-		Workers:         opts.Workers,
 		Deadline:        opts.Deadline,
 		MaxWallTime:     opts.MaxWallTime,
 	}

@@ -8,8 +8,6 @@
 // owns) is confined to one goroutine, and the package keeps no mutable
 // package-level state — so independent engines may run concurrently
 // without synchronisation. The experiment harness relies on this: its
-// worker pool (internal/parallel) runs one engine per task. Within one
-// engine, Options.Workers sizes the core driver's intra-round phase-kernel
-// fan-out (DESIGN.md §9) — a performance knob whose results are
-// byte-identical for every value.
+// worker pool (internal/parallel) runs one engine per task, and each
+// engine steps its rounds sequentially.
 package sim

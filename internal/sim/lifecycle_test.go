@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -64,9 +65,12 @@ func checkpointRoundTrip(t *testing.T, e *sim.Engine) *sim.Checkpoint {
 
 // TestCheckpointResumeMatchesGolden is the checkpoint battery of DESIGN.md
 // §11: for every golden workload (both strategies), run k rounds, take a
-// checkpoint, push it through the byte codec, restore at Workers 1 and 4,
-// and finish — the resumed Result must be byte-identical to the committed
-// fixture of the uninterrupted run.
+// checkpoint, push it through the byte codec, restore and finish — the
+// resumed Result must be byte-identical to the committed fixture of the
+// uninterrupted run. Each cut runs twice: _w1 restores the checkpoint as
+// written, _w4 first rewrites it into the form a 4-worker engine of
+// earlier releases wrote (its config carrying the retired "Workers":4
+// key), so legacy checkpoints are pinned to restore at every cut.
 func TestCheckpointResumeMatchesGolden(t *testing.T) {
 	for _, w := range goldenWorkloads() {
 		w := w
@@ -98,10 +102,13 @@ func TestCheckpointResumeMatchesGolden(t *testing.T) {
 						}
 						stepN(t, e, k)
 						cp := checkpointRoundTrip(t, e)
+						if workers > 1 {
+							cp = withLegacyWorkers(t, cp, workers)
+						}
 						if cp.Result.Rounds != k {
 							t.Fatalf("checkpoint Result.Rounds = %d, want %d", cp.Result.Rounds, k)
 						}
-						rt, err := sim.Restore(cp, sim.Options{CheckInvariants: true, Workers: workers})
+						rt, err := sim.Restore(cp, sim.Options{CheckInvariants: true})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -116,6 +123,87 @@ func TestCheckpointResumeMatchesGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// withLegacyWorkers re-seals cp the way an earlier release's engine running
+// at the given worker count wrote it: the config gains the retired
+// "Workers" key, which decoding must ignore.
+func withLegacyWorkers(t *testing.T, cp *sim.Checkpoint, workers int) *sim.Checkpoint {
+	t.Helper()
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Artifact string          `json:"artifact"`
+		Version  int             `json:"version"`
+		Checksum uint32          `json:"checksum"`
+		Payload  json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	var payload map[string]json.RawMessage
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(payload["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["Workers"] = workers
+	if payload["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if env.Payload, err = json.Marshal(payload); err != nil {
+		t.Fatal(err)
+	}
+	env.Checksum = crc32.ChecksumIEEE(env.Payload)
+	legacy, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"Workers":`+strconv.Itoa(workers))) {
+		t.Fatalf("legacy checkpoint lacks its Workers key: %.200s", legacy)
+	}
+	back, err := sim.DecodeCheckpoint(legacy)
+	if err != nil {
+		t.Fatalf("legacy checkpoint refused: %v", err)
+	}
+	return back
+}
+
+// TestRestoreLegacyWorkersCheckpoint resumes a checkpoint written by an
+// earlier release whose config still carried the retired "Workers":4
+// engine setting (spiral_w8 at round 49 of 99): the unknown key is ignored
+// on decode, and the run finishes byte-identical to the golden fixture.
+func TestRestoreLegacyWorkersCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_workers4_spiral_w8.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"Workers":4`)) {
+		t.Fatal(`fixture lost its "Workers":4 config key; it no longer tests the legacy format`)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "spiral_w8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := sim.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := sim.Restore(cp, sim.Options{CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultJSON(t, res); !bytes.Equal(got, want) {
+		t.Errorf("legacy checkpoint resumed to a different Result\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -161,7 +249,7 @@ func TestCheckpointResumeNonFSYNC(t *testing.T) {
 					if len(cp.SchedLens) != k {
 						t.Fatalf("ckpt@%d: %d scheduler rounds recorded", k, len(cp.SchedLens))
 					}
-					rt, err := sim.Restore(cp, sim.Options{Workers: 4})
+					rt, err := sim.Restore(cp, sim.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -439,54 +527,44 @@ func TestRunDeadline(t *testing.T) {
 }
 
 // TestEnginePanicPoisons injects a kernel panic at a chosen round and pins
-// the containment contract: Step surfaces a *PanicError carrying the round
-// (and, under Workers>1, the pool worker's identity via TaskPanic), the
-// engine stays poisoned, and Checkpoint refuses.
+// the containment contract: Step surfaces a *PanicError carrying the round,
+// the engine stays poisoned, and Checkpoint refuses.
 func TestEnginePanicPoisons(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run("workers_"+strconv.Itoa(workers), func(t *testing.T) {
-			ch, err := generate.Spiral(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := sim.NewEngine(ch, sim.Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const panicAt = 3
-			e.Algorithm().InjectFaultAt(core.FaultPanic, panicAt)
-			res, err := e.Run()
-			var pe *sim.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("got %v (%T), want *sim.PanicError", err, err)
-			}
-			if pe.Round != panicAt {
-				t.Fatalf("panic in round %d, want %d", pe.Round, panicAt)
-			}
-			if len(pe.Stack) == 0 {
-				t.Fatal("no stack captured")
-			}
-			if workers > 1 {
-				var tp *parallel.TaskPanic
-				if !errors.As(err, &tp) {
-					t.Fatalf("worker panic lost its pool identity: %v", err)
-				}
-				if len(tp.Stack) == 0 {
-					t.Fatal("no worker stack captured")
-				}
-			}
-			if res.Rounds != panicAt || res.Gathered {
-				t.Fatalf("result not sealed at the failing round: %+v", res)
-			}
-			// Poisoned: the same error again, and no checkpoints.
-			if _, err2 := e.Step(); !errors.Is(err2, err) {
-				t.Fatalf("second Step returned %v, want the poisoning error", err2)
-			}
-			if _, err := e.Checkpoint(); err == nil {
-				t.Fatal("Checkpoint accepted a poisoned engine")
-			}
-		})
-	}
+	// The case name keeps the workers_1 label of the era when a worker
+	// count was swept; the engine has one round path.
+	t.Run("workers_1", func(t *testing.T) {
+		ch, err := generate.Spiral(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewEngine(ch, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const panicAt = 3
+		e.Algorithm().InjectFaultAt(core.FaultPanic, panicAt)
+		res, err := e.Run()
+		var pe *sim.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("got %v (%T), want *sim.PanicError", err, err)
+		}
+		if pe.Round != panicAt {
+			t.Fatalf("panic in round %d, want %d", pe.Round, panicAt)
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatal("no stack captured")
+		}
+		if res.Rounds != panicAt || res.Gathered {
+			t.Fatalf("result not sealed at the failing round: %+v", res)
+		}
+		// Poisoned: the same error again, and no checkpoints.
+		if _, err2 := e.Step(); !errors.Is(err2, err) {
+			t.Fatalf("second Step returned %v, want the poisoning error", err2)
+		}
+		if _, err := e.Checkpoint(); err == nil {
+			t.Fatal("Checkpoint accepted a poisoned engine")
+		}
+	})
 }
 
 // TestLimitSaturates pins the overflow behaviour of the watchdog budget:

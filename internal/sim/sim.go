@@ -61,13 +61,6 @@ type Options struct {
 	// moment RunContext starts; when both are set the earlier instant
 	// wins. Zero means no wall-clock limit.
 	MaxWallTime time.Duration
-	// Workers, when positive, overrides Config.Workers: the intra-round
-	// parallelism of the engine's phase kernels (core/kernels.go). The
-	// observable simulation is byte-identical for every value — workers
-	// change wall-clock, never behaviour — which the golden-trace battery
-	// pins at Workers ∈ {1,2,4,8}. It is applied after Config defaulting,
-	// so Options{Workers: 4} composes with the zero Config.
-	Workers int
 	// AllowLivelockConfig opts into configurations that Validate rejects as
 	// provable livelocks — today MaxMergeLen < V-1 under the paper strategy,
 	// which parks every square-ring endgame whose side exceeds MaxMergeLen
@@ -86,9 +79,6 @@ func (o Options) Validate() error {
 	cfg := o.Config
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
-	}
-	if o.Workers > 0 {
-		cfg.Workers = o.Workers
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -204,8 +194,7 @@ var (
 )
 
 // PanicError is what a panicking round surfaces as: Step recovers a panic
-// escaping the strategy — including a *parallel.TaskPanic re-raised from a
-// worker goroutine by the pool — wraps it with the round it happened in,
+// escaping the strategy, wraps it with the round it happened in,
 // and poisons the engine (every further Step and Checkpoint refuses),
 // because a half-executed round may have left the chain mid-mutation and
 // nothing downstream may trust it again. The campaign layers convert it
@@ -215,9 +204,7 @@ type PanicError struct {
 	Round int
 	// Value is the original panic value.
 	Value any
-	// Stack is the stack of the goroutine the panic was recovered on; a
-	// pool-worker panic additionally carries the worker's own stack inside
-	// Value (*parallel.TaskPanic).
+	// Stack is the stack of the goroutine the panic was recovered on.
 	Stack []byte
 }
 
@@ -226,8 +213,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: strategy panicked in round %d: %v", e.Round, e.Value)
 }
 
-// Unwrap exposes a panic value that is itself an error (such as
-// *parallel.TaskPanic), so errors.As reaches the worker identity.
+// Unwrap exposes a panic value that is itself an error, so errors.Is and
+// errors.As reach it.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err
@@ -279,9 +266,6 @@ type Engine struct {
 func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 	if opts.Config == (core.Config{}) {
 		opts.Config = core.DefaultConfig()
-	}
-	if opts.Workers > 0 {
-		opts.Config.Workers = opts.Workers
 	}
 	if opts.WatchdogFactor <= 0 {
 		opts.WatchdogFactor = DefaultWatchdogFactor
@@ -471,9 +455,7 @@ func (e *Engine) Step() (bool, error) {
 }
 
 // stepAlg runs one strategy round under a recover guard: a panic anywhere
-// in the round — the strategy's own code or a *parallel.TaskPanic re-raised
-// by the worker pool — becomes a *PanicError and permanently poisons the
-// engine, because the chain may be mid-mutation and nothing downstream may
+// in the round becomes a *PanicError and permanently poisons the engine, because the chain may be mid-mutation and nothing downstream may
 // trust it again.
 func (e *Engine) stepAlg(active []bool) (rep core.RoundReport, err error) {
 	defer func() {

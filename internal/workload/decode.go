@@ -90,8 +90,6 @@ func decodeConfig(n *node) (core.Config, error) {
 			cfg.SequentialRuns, err = boolOf(child, key)
 		case "disableRunStarts":
 			cfg.DisableRunStarts, err = boolOf(child, key)
-		case "workers":
-			cfg.Workers, err = intOf(child, key)
 		default:
 			err = yamlErr(child.line, "unknown config field %q", key)
 		}

@@ -48,20 +48,14 @@ type Record struct {
 	Result sim.Result `json:"result"`
 }
 
-// runItem executes one expanded item. engineWorkers, when positive,
-// overrides the intra-round parallelism — a wall-clock knob that never
-// changes the result bytes (DESIGN.md §9). Watchdog and stall DNFs fold
-// into the Record; every other engine error is a real failure.
-func runItem(it Item, engineWorkers int) (Record, error) {
+// runItem executes one expanded item. Watchdog and stall DNFs fold into
+// the Record; every other engine error is a real failure.
+func runItem(it Item) (Record, error) {
 	ch, err := it.Chain()
 	if err != nil {
 		return Record{}, fmt.Errorf("workload: item %d: rebuilding scenario: %w", it.Index, err)
 	}
-	opts := it.Options()
-	if engineWorkers > 0 {
-		opts.Workers = engineWorkers
-	}
-	res, err := sim.Gather(ch, opts)
+	res, err := sim.Gather(ch, it.Options())
 	rec := Record{Item: it, Gathered: err == nil, Result: res}
 	switch {
 	case err == nil:
@@ -76,11 +70,10 @@ func runItem(it Item, engineWorkers int) (Record, error) {
 }
 
 // Execute expands the spec and runs every item, fanning out over workers
-// campaign-level goroutines (0 = GOMAXPROCS); engineWorkers, when
-// positive, additionally overrides each item's intra-round parallelism.
-// The record stream is a pure function of the spec: items are
-// deterministic, runs are deterministic, and records come back in item
-// order at any worker count.
+// campaign-level goroutines (0 = GOMAXPROCS). The record stream is a pure
+// function of the spec: items are deterministic, runs are deterministic,
+// and records come back in item order at any worker count.
+// engineWorkers is unused; the benchmark harness still passes it.
 func Execute(ctx context.Context, s Spec, workers, engineWorkers int) ([]Record, error) {
 	items, err := s.Expand(ctx, workers)
 	if err != nil {
@@ -88,7 +81,7 @@ func Execute(ctx context.Context, s Spec, workers, engineWorkers int) ([]Record,
 	}
 	tasks := make([]parallel.Task[Record], len(items))
 	for i := range tasks {
-		tasks[i] = func(index int) (Record, error) { return runItem(items[index], engineWorkers) }
+		tasks[i] = func(index int) (Record, error) { return runItem(items[index]) }
 	}
 	return parallel.RunContext(ctx, workers, tasks)
 }
@@ -151,7 +144,7 @@ func Replay(ctx context.Context, recs []Record, workers int) error {
 
 // replayOne verifies one record.
 func replayOne(rec Record) error {
-	fresh, err := runItem(rec.Item, 0)
+	fresh, err := runItem(rec.Item)
 	if err != nil {
 		return err
 	}

@@ -288,9 +288,6 @@ func (s Spec) Encode() []byte {
 		if c.DisableRunStarts {
 			b.WriteString("  disableRunStarts: true\n")
 		}
-		if c.Workers != 0 {
-			fmt.Fprintf(&b, "  workers: %d\n", c.Workers)
-		}
 	}
 	b.WriteString("families:\n")
 	for _, f := range s.Families {

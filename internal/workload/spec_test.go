@@ -51,46 +51,48 @@ func TestParseSpecRejections(t *testing.T) {
 	cases := []struct {
 		name string
 		yaml string
+		want string // optional substring of the error, e.g. the line
 	}{
-		{"empty document", ""},
-		{"comment-only document", "# nothing here\n"},
-		{"unknown top-level field", minimalSpec + "surprise: 1\n"},
-		{"unknown family field", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    color: red\n"},
-		{"unknown sched field", minimalSpec + "scheds:\n  - sched: fsync\n    kohort: 3\n"},
-		{"unknown strategy field", minimalSpec + "strategies:\n  - strategy: paper\n    speed: 11\n"},
-		{"unknown config field", minimalSpec + "config:\n  viewing: 11\n"},
-		{"negative weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: -2\n"},
-		{"zero weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: 0\n"},
-		{"huge weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: 100000\n"},
-		{"zero items", "seed: 1\nitems: 0\nfamilies:\n  - shape: walk\n"},
-		{"negative items", "seed: 1\nitems: -3\nfamilies:\n  - shape: walk\n"},
-		{"items over the cap", "seed: 1\nitems: 9999999\nfamilies:\n  - shape: walk\n"},
-		{"missing families", "seed: 1\nitems: 4\n"},
-		{"unknown shape", "seed: 1\nitems: 4\nfamilies:\n  - shape: dodecahedron\n"},
-		{"family without shape", "seed: 1\nitems: 4\nfamilies:\n  - weight: 1\n"},
-		{"bad sched string", minimalSpec + "scheds:\n  - warp:9\n"},
-		{"fsync with parameters", minimalSpec + "scheds:\n  - fsync:3\n"},
-		{"bad strategy string", minimalSpec + "strategies:\n  - quadratic\n"},
-		{"size below minimum", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: 3\n"},
-		{"size above maximum", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: 4096\n"},
-		{"inverted size bounds", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: uniform:64:8\n"},
-		{"bad size syntax", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: gaussian:64:8\n"},
-		{"size missing bound", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: uniform:64\n"},
-		{"negative maxRounds", minimalSpec + "maxRounds: -1\n"},
-		{"negative family maxRounds", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    maxRounds: -5\n"},
-		{"non-integer items", "seed: 1\nitems: few\nfamilies:\n  - shape: walk\n"},
-		{"non-integer seed", "seed: 1.5\nitems: 4\nfamilies:\n  - shape: walk\n"},
-		{"bad config bool", minimalSpec + "config:\n  sequentialRuns: maybe\n"},
-		{"config view too small", minimalSpec + "config:\n  view: 3\n"},
-		{"livelock config (E11 wall)", minimalSpec + "config:\n  mergelen: 4\n"},
-		{"duplicate key", "seed: 1\nseed: 2\nitems: 4\nfamilies:\n  - shape: walk\n"},
-		{"tab indentation", "seed: 1\nitems: 4\nfamilies:\n\t- shape: walk\n"},
-		{"flow syntax key", "{seed: 1}\n"},
-		{"sequence at root", "- shape: walk\n"},
-		{"key without value", "seed: 1\nitems: 4\nfamilies:\nscheds:\n  - fsync\n"},
-		{"scalar families", "seed: 1\nitems: 4\nfamilies: walk\n"},
-		{"mapping key inside sequence", minimalSpec + "scheds:\n  - fsync\n  weight: 2\n"},
-		{"bad indentation jump", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n      size: 32\n"},
+		{"empty document", "", ""},
+		{"comment-only document", "# nothing here\n", ""},
+		{"unknown top-level field", minimalSpec + "surprise: 1\n", ""},
+		{"unknown family field", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    color: red\n", ""},
+		{"unknown sched field", minimalSpec + "scheds:\n  - sched: fsync\n    kohort: 3\n", ""},
+		{"unknown strategy field", minimalSpec + "strategies:\n  - strategy: paper\n    speed: 11\n", ""},
+		{"unknown config field", minimalSpec + "config:\n  viewing: 11\n", ""},
+		{"negative weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: -2\n", ""},
+		{"zero weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: 0\n", ""},
+		{"huge weight", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    weight: 100000\n", ""},
+		{"zero items", "seed: 1\nitems: 0\nfamilies:\n  - shape: walk\n", ""},
+		{"negative items", "seed: 1\nitems: -3\nfamilies:\n  - shape: walk\n", ""},
+		{"items over the cap", "seed: 1\nitems: 9999999\nfamilies:\n  - shape: walk\n", ""},
+		{"missing families", "seed: 1\nitems: 4\n", ""},
+		{"unknown shape", "seed: 1\nitems: 4\nfamilies:\n  - shape: dodecahedron\n", ""},
+		{"family without shape", "seed: 1\nitems: 4\nfamilies:\n  - weight: 1\n", ""},
+		{"bad sched string", minimalSpec + "scheds:\n  - warp:9\n", ""},
+		{"fsync with parameters", minimalSpec + "scheds:\n  - fsync:3\n", ""},
+		{"bad strategy string", minimalSpec + "strategies:\n  - quadratic\n", ""},
+		{"size below minimum", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: 3\n", ""},
+		{"size above maximum", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: 4096\n", ""},
+		{"inverted size bounds", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: uniform:64:8\n", ""},
+		{"bad size syntax", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: gaussian:64:8\n", ""},
+		{"size missing bound", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    size: uniform:64\n", ""},
+		{"negative maxRounds", minimalSpec + "maxRounds: -1\n", ""},
+		{"negative family maxRounds", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n    maxRounds: -5\n", ""},
+		{"non-integer items", "seed: 1\nitems: few\nfamilies:\n  - shape: walk\n", ""},
+		{"non-integer seed", "seed: 1.5\nitems: 4\nfamilies:\n  - shape: walk\n", ""},
+		{"bad config bool", minimalSpec + "config:\n  sequentialRuns: maybe\n", ""},
+		{"config view too small", minimalSpec + "config:\n  view: 3\n", ""},
+		{"livelock config (E11 wall)", minimalSpec + "config:\n  mergelen: 4\n", ""},
+		{"duplicate key", "seed: 1\nseed: 2\nitems: 4\nfamilies:\n  - shape: walk\n", ""},
+		{"tab indentation", "seed: 1\nitems: 4\nfamilies:\n\t- shape: walk\n", ""},
+		{"flow syntax key", "{seed: 1}\n", ""},
+		{"sequence at root", "- shape: walk\n", ""},
+		{"key without value", "seed: 1\nitems: 4\nfamilies:\nscheds:\n  - fsync\n", ""},
+		{"scalar families", "seed: 1\nitems: 4\nfamilies: walk\n", ""},
+		{"mapping key inside sequence", minimalSpec + "scheds:\n  - fsync\n  weight: 2\n", ""},
+		{"bad indentation jump", "seed: 1\nitems: 4\nfamilies:\n  - shape: walk\n      size: 32\n", ""},
+		{"retired workers config field", minimalSpec + "config:\n  workers: 2\n", `line 7: unknown config field "workers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,6 +102,9 @@ func TestParseSpecRejections(t *testing.T) {
 			}
 			if !errors.Is(err, ErrBadSpec) {
 				t.Fatalf("error does not wrap ErrBadSpec: %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}
@@ -133,7 +138,6 @@ config:
   period: 7
   mergelen: 12
   sequentialRuns: true
-  workers: 4
 families:
   - shape: rectangle
     weight: 3
