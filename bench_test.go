@@ -236,7 +236,7 @@ func BenchmarkStartDetection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := view.At(ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
-		core.DetectStart(s)
+		core.DetectStart(&s)
 	}
 }
 

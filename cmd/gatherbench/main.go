@@ -20,8 +20,8 @@
 // -bench-against compares a fresh measurement with a committed snapshot
 // and exits non-zero on staleness or an allocs/op regression (> 20%).
 //
-//	gatherbench -bench-out BENCH_PR14.json -bench-label PR14
-//	gatherbench -bench-against BENCH_PR14.json    # the CI bench-smoke gate
+//	gatherbench -bench-out BENCH_PR15.json -bench-label PR15
+//	gatherbench -bench-against BENCH_PR15.json    # the CI bench-smoke gate
 //
 // Perf investigations start from a profile, not a guess: -cpuprofile and
 // -memprofile capture pprof profiles of whichever mode runs (experiment

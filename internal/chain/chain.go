@@ -45,6 +45,14 @@ type Chain struct {
 	idx        []int32
 	orderDirty bool
 
+	// Ring-order edge cache: edges[i] is the displacement from the robot
+	// at cyclic index i to the one at i+1. Any move or splice clears
+	// edgesFresh; Edges rebuilds the cache in one O(n) pass on first use,
+	// so it is rebuilt at most once per round. The zero value is stale,
+	// which makes every constructor (and Clone) start with a lazy build.
+	edges      []grid.Vec
+	edgesFresh bool
+
 	// Incremental bounding box: counts of live robots on each face of the
 	// box. A move or removal that empties a face marks the box dirty; the
 	// next Bounds() call recomputes it in O(n). Everything else is O(1).
@@ -225,7 +233,40 @@ func (c *Chain) Contains(h Handle) bool {
 
 // Edge returns the displacement from robot i to robot i+1.
 func (c *Chain) Edge(i int) grid.Vec {
-	return c.Pos(i + 1).Sub(c.Pos(i))
+	return c.Edges()[c.norm(i)]
+}
+
+// Edges returns the chain's edges in ring order: Edges()[i] is the
+// displacement from the robot at cyclic index i to the one at i+1. The
+// slice is shared and valid until the next move or splice; callers must
+// not mutate it. The first call after a change rebuilds it in O(n).
+func (c *Chain) Edges() []grid.Vec {
+	if c.orderDirty {
+		c.reindex()
+	}
+	if !c.edgesFresh {
+		c.rebuildEdges()
+	}
+	return c.edges
+}
+
+// rebuildEdges refills the edge cache from the ring order. The backing
+// array is sized to the handle space on first use and only resliced after.
+func (c *Chain) rebuildEdges() {
+	if c.edges == nil {
+		c.edges = make([]grid.Vec, len(c.pos))
+	}
+	e := c.edges[:c.n]
+	first := c.pos[c.order[0]]
+	p := first
+	for i, h := range c.order[1:c.n] {
+		q := c.pos[h]
+		e[i] = q.Sub(p)
+		p = q
+	}
+	e[c.n-1] = first.Sub(p)
+	c.edges = e
+	c.edgesFresh = true
 }
 
 // Positions returns a copy of all robot positions in chain order.
@@ -249,13 +290,6 @@ func (c *Chain) Handles() []Handle {
 	return c.order
 }
 
-// PosStore exposes the flat per-handle position array (indexed by Handle,
-// dead handles included) for read-only hot paths — the view package reads
-// it directly so window accesses compile to plain array arithmetic. Callers
-// must not mutate it; use SetPos/MoveBy, which keep the bounding box
-// bookkeeping consistent.
-func (c *Chain) PosStore() []grid.Vec { return c.pos }
-
 // SetPos teleports the robot with handle h to p, updating the bounding box.
 // It is the substrate-level mutator used by movement rules and tests; it
 // performs no model checks (edge validity is the caller's responsibility,
@@ -266,6 +300,7 @@ func (c *Chain) SetPos(h Handle, p grid.Vec) {
 		return
 	}
 	c.pos[h] = p
+	c.edgesFresh = false
 	c.boundsRemove(old)
 	c.boundsAdd(p)
 }
@@ -367,12 +402,14 @@ func (c *Chain) Bounds() grid.Box {
 func (c *Chain) Gathered() bool { return c.Bounds().FitsSquare(2) }
 
 // CheckEdges verifies that every edge is a legal chain edge (axis unit or
-// zero). It is the safety invariant the algorithm must never violate.
+// zero). It is the safety invariant the algorithm must never violate. It
+// walks the positions, not the edge cache, so checking a chain that never
+// enters a look phase allocates nothing.
 func (c *Chain) CheckEdges() error {
-	for i := 0; i < c.n; i++ {
-		if !c.Edge(i).IsChainEdge() {
+	for i, h := range c.Handles() {
+		if e := c.pos[c.next[h]].Sub(c.pos[h]); !e.IsChainEdge() {
 			return fmt.Errorf("%w: edge %d..%d is %v (%v -> %v)",
-				ErrBadEdge, i, c.norm(i+1), c.Edge(i), c.Pos(i), c.Pos(i+1))
+				ErrBadEdge, i, c.norm(i+1), e, c.Pos(i), c.Pos(i+1))
 		}
 	}
 	return nil
@@ -405,8 +442,8 @@ func (c *Chain) CheckNoZeroEdges() error {
 	if c.n <= 2 {
 		return nil // a fully gathered pair may legitimately coincide
 	}
-	for i := 0; i < c.n; i++ {
-		if c.Edge(i).IsZero() {
+	for i, h := range c.Handles() {
+		if c.pos[c.next[h]] == c.pos[h] {
 			return fmt.Errorf("%w: neighbours %d,%d at %v", ErrZeroEdge, i, c.norm(i+1), c.Pos(i))
 		}
 	}
@@ -435,6 +472,7 @@ func (c *Chain) unlink(h Handle) {
 		c.head = nx
 	}
 	c.orderDirty = true
+	c.edgesFresh = false
 	c.boundsRemove(c.pos[h])
 }
 
@@ -554,8 +592,8 @@ func (c *Chain) Clone() *Chain {
 // post-merge chain this equals Len().
 func (c *Chain) PerimeterLength() int {
 	total := 0
-	for i := 0; i < c.n; i++ {
-		total += c.Edge(i).L1()
+	for _, e := range c.Edges() {
+		total += e.L1()
 	}
 	return total
 }

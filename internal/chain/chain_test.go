@@ -406,3 +406,46 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	MustNew([]grid.Vec{grid.V(0, 0)})
 }
+
+// TestEdgesCacheTracksMutations interleaves random SetPos/MoveBy calls,
+// seeded and full merge splices, and clones with reads of the edge cache:
+// after every step Edges() must equal the edges recomputed from positions.
+func TestEdgesCacheTracksMutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 20; trial++ {
+		c := MustNew(randomClosedWalkPositions(rng, 40+rng.Intn(40)))
+		check := func(c *Chain, step int) {
+			t.Helper()
+			es := c.Edges()
+			if len(es) != c.Len() {
+				t.Fatalf("trial %d step %d: %d cached edges for %d robots", trial, step, len(es), c.Len())
+			}
+			for i, e := range es {
+				if want := c.Pos(i + 1).Sub(c.Pos(i)); e != want {
+					t.Fatalf("trial %d step %d: Edges()[%d] = %v, want %v", trial, step, i, e, want)
+				}
+			}
+		}
+		check(c, -1)
+		for step := 0; step < 200 && c.Len() > 2; step++ {
+			i := rng.Intn(c.Len())
+			h := c.At(i)
+			switch rng.Intn(5) {
+			case 0: // co-locate with the successor: a merge candidate
+				c.SetPos(h, c.Pos(i+1))
+			case 1:
+				c.MoveBy(h, grid.AxisDirs[rng.Intn(4)])
+			case 2:
+				c.AppendResolveMergesAround(nil, []Handle{h})
+			case 3:
+				c.ResolveMerges()
+			case 4:
+				check(c.Clone(), step)
+			}
+			if rng.Intn(4) != 0 { // sometimes let two mutations stack up
+				check(c, step)
+			}
+		}
+		check(c, 200)
+	}
+}

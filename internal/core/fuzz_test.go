@@ -6,6 +6,7 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
+	"gridgather/internal/view"
 )
 
 // randomWalkChain builds a random closed walk directly (the generate
@@ -131,11 +132,20 @@ func TestInjectRunRegistry(t *testing.T) {
 	if len(alg.Runs()) != 1 || alg.Runs()[0] != run {
 		t.Fatal("run registry wrong after injection")
 	}
-	views := alg.RunsOn(c.At(0))
-	if len(views) != 1 || views[0].Dir != 1 {
-		t.Fatalf("injected run not visible: %+v", views)
+	// The decide kernel builds the run-direction table the views read.
+	alg.KernelDecide(0, 0, len(alg.Runs()))
+	tab := alg.scratch.runDirs
+	if len(tab) != c.Len() || tab[0] != view.RunPlus {
+		t.Fatalf("injected run not visible in the run table: %v", tab)
 	}
-	if alg.RunsOn(c.At(1)) != nil {
-		t.Fatal("phantom run visible")
+	for i, bits := range tab[1:] {
+		if bits != 0 {
+			t.Fatalf("phantom run visible at index %d: %b", i+1, bits)
+		}
+	}
+	// Seen from index 1 the run sits one step behind, moving towards it.
+	s := view.At(c, 1, DefaultViewingPathLength, tab)
+	if !s.HasRunTowards(-1) || s.HasRunAway(-1) {
+		t.Fatal("injected run misread from its neighbour")
 	}
 }

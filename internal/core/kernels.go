@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gridgather/internal/chain"
+	"gridgather/internal/grid"
 	"gridgather/internal/view"
 )
 
@@ -23,8 +24,8 @@ import (
 //
 // The worker argument is unused; the benchmark harness still passes it.
 //
-// Kernel contract: reads the materialised ring order and positions; writes
-// only the spike and U-turn buffers (reset on entry).
+// Kernel contract: reads the chain's edge cache; writes only the spike and
+// U-turn buffers (reset on entry).
 func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 	if a.activeFault() == FaultPanic {
 		panic(fmt.Sprintf("core: injected kernel panic (round %d)", a.round))
@@ -36,9 +37,11 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 		return
 	}
 	maxLen := a.cfg.MaxMergeLen
-	prev := a.ch.Edge(lo - 1)
+	edges := a.ch.Edges()
+	edge := func(i int) grid.Vec { return edges[chain.WrapIndex(i, n)] }
+	prev := edge(lo - 1)
 	for i := lo; i < hi; i++ {
-		cur := a.ch.Edge(i)
+		cur := edge(i)
 		if prev.IsAxisUnit() && cur == prev.Neg() {
 			a.spikes = append(a.spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
 		}
@@ -46,13 +49,13 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 			// Edge i starts a maximal straight run (a closed chain has at
 			// least two direction changes, so the scan always terminates).
 			l := 1
-			for l < maxLen && a.ch.Edge(i+l) == cur {
+			for l < maxLen && edge(i+l) == cur {
 				l++
 			}
 			// l == maxLen means k = l+1 > MaxMergeLen whatever the run's
 			// true length; below it l is the exact maximal run length.
 			if k := l + 1; l < maxLen && k+2 <= n {
-				after := a.ch.Edge(i + l)
+				after := edge(i + l)
 				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
 					a.uturns = append(a.uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
 				}
@@ -80,18 +83,49 @@ func (a *Algorithm) CombineMergePlan() error {
 // The worker argument is unused; the benchmark harness still passes it.
 //
 // Kernel contract: reads chain, merge plan and run registry; writes only
-// the decisions buffer (reset on entry) and adds to the round's anomaly
-// counters (reset by StepActivated).
+// the run-direction table and the decisions buffer (both rebuilt on entry)
+// and adds to the round's anomaly counters (reset by StepActivated).
 func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 	sc := &a.scratch
 	sc.decisions = sc.decisions[:0]
+	if lo >= hi {
+		return
+	}
+	a.buildRunDirs()
+	s := view.At(a.ch, 0, a.cfg.ViewingPathLength, sc.runDirs)
 	for _, run := range a.runs[lo:hi] {
 		if !activeAt(a.active, a.ch.IndexOf(run.Host)) {
 			sc.decisions = append(sc.decisions, runDecision{run: run, frozen: true})
 			continue
 		}
-		sc.decisions = append(sc.decisions, a.computeRunDecision(run))
+		sc.decisions = append(sc.decisions, runDecision{})
+		a.computeRunDecision(run, &s, &sc.decisions[len(sc.decisions)-1])
 	}
+}
+
+// buildRunDirs fills the ring-indexed run-direction table the decision
+// views read (view.RunPlus/RunMinus per robot) from the run registry, in
+// O(n/8 + runs) — a memclr plus one bit per run. Runs started this round
+// are skipped: they become visible from the next look phase on (FSYNC).
+// Building it on every KernelDecide entry keeps it correct for any caller,
+// including a benchmark calling the kernels between rounds.
+func (a *Algorithm) buildRunDirs() {
+	n := a.ch.Len()
+	t := a.scratch.runDirs
+	if cap(t) < n {
+		t = make([]byte, n)
+	}
+	t = t[:n]
+	clear(t)
+	for _, run := range a.runs {
+		if run.justStarted {
+			continue
+		}
+		if i := a.ch.IndexOf(run.Host); i >= 0 {
+			t[i] |= view.RunBit(run.Dir)
+		}
+	}
+	a.scratch.runDirs = t
 }
 
 // KernelStartScan evaluates the Fig 5 run-start patterns for the active
@@ -103,20 +137,22 @@ func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 //
 // Kernel contract: reads chain, merge plan and run registry; writes only
 // the pending-start list and the start-hop table (both reset on entry).
+// The Fig 5 patterns are geometric, so the views carry no run table.
 func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 	sc := &a.scratch
 	sc.pending = sc.pending[:0]
 	sc.startHops.Reset(a.ch.NumHandles())
+	s := view.At(a.ch, 0, a.cfg.ViewingPathLength, nil)
 	for i := lo; i < hi; i++ {
 		if !activeAt(a.active, i) {
 			continue // sleeping robots look at nothing and start nothing
 		}
-		r := a.ch.At(i)
+		s.Recenter(i)
+		r := s.Robot(0)
 		if a.plan.Participant(r) {
 			continue
 		}
-		s := view.At(a.ch, i, a.cfg.ViewingPathLength, a)
-		spec, ok := DetectStart(s)
+		spec, ok := DetectStart(&s)
 		if !ok {
 			continue
 		}

@@ -26,8 +26,12 @@ type StartSpec struct {
 // alignedTriple reports whether the robot and its next two chain neighbours
 // in direction d form a straight segment (the "first three robots aligned"
 // requirement of Definition 1 on the quasi line containing the observer).
-func alignedTriple(s view.Snapshot, d int) bool {
-	return s.ChainLen() >= 3 && s.AlignedAhead(d) >= 2
+func alignedTriple(s *view.Snapshot, d int) bool {
+	if min(s.V(), s.ChainLen()-1) < 2 {
+		return false
+	}
+	e := s.Edge(0, d)
+	return e.IsAxisUnit() && s.Edge(d, d) == e
 }
 
 // DetectStart checks the run start patterns of Fig 5 at the observing
@@ -47,12 +51,15 @@ func alignedTriple(s view.Snapshot, d int) bool {
 // Chains shorter than MinChainForRuns never start runs: the inspected
 // windows would self-overlap and such chains always shorten by merges
 // alone.
-func DetectStart(s view.Snapshot) (StartSpec, bool) {
+func DetectStart(s *view.Snapshot) (StartSpec, bool) {
 	if s.ChainLen() < MinChainForRuns {
 		return StartSpec{}, false
 	}
 	aheadPlus := alignedTriple(s, +1)
 	aheadMinus := alignedTriple(s, -1)
+	if !aheadPlus && !aheadMinus {
+		return StartSpec{}, false // both patterns need a straight side
+	}
 	ePlus := s.Edge(0, +1)
 	eMinus := s.Edge(0, -1)
 
@@ -65,21 +72,22 @@ func DetectStart(s view.Snapshot) (StartSpec, bool) {
 		}, true
 	}
 
-	// Stairway start, trying each direction as the quasi-line side.
-	for _, d := range [2]int{+1, -1} {
-		if spec, ok := stairwayStart(s, d); ok {
+	// Stairway start, trying each straight side as the quasi-line side.
+	if aheadPlus {
+		if spec, ok := stairwayStart(s, +1); ok {
 			return spec, true
 		}
+	}
+	if aheadMinus {
+		return stairwayStart(s, -1)
 	}
 	return StartSpec{}, false
 }
 
 // stairwayStart checks the Fig 5.(i) pattern with the quasi line extending
-// in direction d and the stairway behind (-d).
-func stairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
-	if !alignedTriple(s, d) {
-		return StartSpec{}, false
-	}
+// in direction d and the stairway behind (-d). The caller has established
+// alignedTriple(s, d).
+func stairwayStart(s *view.Snapshot, d int) (StartSpec, bool) {
 	axis := s.Edge(0, d)
 	b1 := s.Edge(0, -d) // self -> first robot behind
 	if !b1.Perp(axis) {
@@ -120,7 +128,7 @@ func stairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
 // the quasi-line end) edges and allocates nothing, however long the view:
 // the unbounded Lemma 1/2 pair walk (Algorithm.pairStarts) costs one quasi
 // line per start, not one chain.
-func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
+func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
 		return 0, false
@@ -194,6 +202,6 @@ func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 // on a corner with respect to travel direction d: its trailing edge is
 // perpendicular to its leading edge. Runner operations (a) and (b) act only
 // on corners.
-func cornerAt(s view.Snapshot, d int) bool {
+func cornerAt(s *view.Snapshot, d int) bool {
 	return s.Edge(0, -d).Perp(s.Edge(0, d))
 }

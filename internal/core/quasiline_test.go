@@ -52,8 +52,9 @@ func jogChain(t *testing.T) *chain.Chain {
 	)
 }
 
-func snap(c *chain.Chain, i int) view.Snapshot {
-	return view.At(c, i, DefaultViewingPathLength, nil)
+func snap(c *chain.Chain, i int) *view.Snapshot {
+	s := view.At(c, i, DefaultViewingPathLength, nil)
+	return &s
 }
 
 func TestDetectStartCorner(t *testing.T) {
@@ -224,7 +225,8 @@ func TestEndpointAheadJogContinues(t *testing.T) {
 	if err != nil {
 		t.Skipf("construction imbalance: %v", err)
 	}
-	if off, ok := EndpointAhead(view.At(c, 0, 11, nil), +1); ok {
+	s := view.At(c, 0, 11, nil)
+	if off, ok := EndpointAhead(&s, +1); ok {
 		t.Errorf("quasi line with jogs reported endpoint at %d", off)
 	}
 }
@@ -277,7 +279,7 @@ func TestCornerAt(t *testing.T) {
 // every snapshot. The oracle shares EndpointAhead with the engine
 // (DESIGN.md §7), so lockstep conformance cannot referee a slip in the
 // parser; these differential tests do.
-func endpointAheadGrouped(s view.Snapshot, d int) (endOffset int, ok bool) {
+func endpointAheadGrouped(s *view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
 		return 0, false
@@ -351,8 +353,8 @@ func checkEndpointAheadAgainstGrouped(t *testing.T, label string, c *chain.Chain
 		for i := 0; i < c.Len(); i++ {
 			s := view.At(c, i, v, nil)
 			for _, d := range [2]int{+1, -1} {
-				gotOff, gotOK := EndpointAhead(s, d)
-				wantOff, wantOK := endpointAheadGrouped(s, d)
+				gotOff, gotOK := EndpointAhead(&s, d)
+				wantOff, wantOK := endpointAheadGrouped(&s, d)
 				if gotOff != wantOff || gotOK != wantOK {
 					t.Fatalf("%s: n=%d idx=%d V=%d d=%+d: EndpointAhead = (%d, %v), grouped referee = (%d, %v)",
 						label, c.Len(), i, v, d, gotOff, gotOK, wantOff, wantOK)
@@ -430,8 +432,8 @@ func FuzzEndpointAhead(f *testing.F) {
 		}
 		for _, vv := range [2]int{int(v), n - 1} {
 			s := view.At(c, int(idx)%n, vv, nil)
-			gotOff, gotOK := EndpointAhead(s, d)
-			wantOff, wantOK := endpointAheadGrouped(s, d)
+			gotOff, gotOK := EndpointAhead(&s, d)
+			wantOff, wantOK := endpointAheadGrouped(&s, d)
 			if gotOff != wantOff || gotOK != wantOK {
 				t.Fatalf("n=%d idx=%d V=%d d=%+d: EndpointAhead = (%d, %v), grouped referee = (%d, %v)\nsteps: %v",
 					n, int(idx)%n, vv, d, gotOff, gotOK, wantOff, wantOK, generate.ToBytes(c))

@@ -45,28 +45,26 @@ type runDecision struct {
 func passBudgetFor(cfg Config) int { return 2 * cfg.ViewingPathLength }
 
 // computeRunDecision evaluates the paper's per-round runner rule (Fig 15,
-// step 2) for a single run: first the termination conditions of Table 1,
-// then run passing (continuation or trigger), then the traverse operations
-// (b)/(c), then the reshapement operation (a). It reads the round's merge
-// plan and adds its defensive-path counts to the round's anomalies.
-func (a *Algorithm) computeRunDecision(run *Run) runDecision {
-	d := runDecision{
-		run:             run,
-		mergeRobot:      -1,
-		advanceTo:       chain.None,
-		newMode:         run.Mode,
-		newTraverseLeft: run.TraverseLeft,
-		newOpOrigin:     run.OpOrigin,
-		newOpTarget:     run.OpTarget,
-		newPassTarget:   run.PassTarget,
-		newPassBudget:   run.PassBudget,
-	}
+// step 2) for a single run into d: first the termination conditions of
+// Table 1, then run passing (continuation or trigger), then the traverse
+// operations (b)/(c), then the reshapement operation (a). It reads the
+// round's merge plan and s, the look phase's view over the ring order, the
+// edge cache and the run-direction table, which it re-centres on the
+// run's host. It adds its defensive-path counts to the round's anomalies.
+func (a *Algorithm) computeRunDecision(run *Run, s *view.Snapshot, d *runDecision) {
+	// Field by field: a composite literal assigned through d is built in
+	// a temporary and block-copied, a measurable cost per run and round.
+	*d = runDecision{}
+	d.run, d.mergeRobot, d.advanceTo = run, -1, chain.None
+	d.newMode, d.newTraverseLeft = run.Mode, run.TraverseLeft
+	d.newOpOrigin, d.newOpTarget = run.OpOrigin, run.OpTarget
+	d.newPassTarget, d.newPassBudget = run.PassTarget, run.PassBudget
 	idx := a.ch.IndexOf(run.Host)
 	if idx < 0 {
 		d.terminate, d.reason = true, TermHostRemoved
-		return d
+		return
 	}
-	s := view.At(a.ch, idx, a.cfg.ViewingPathLength, a)
+	s.Recenter(idx)
 	dir := run.Dir
 	scanMax := min(a.cfg.ViewingPathLength, a.ch.Len()-1)
 
@@ -74,7 +72,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 	if a.plan.Participant(run.Host) {
 		d.terminate, d.reason = true, TermMerge
 		d.mergeRobot = a.patternOf(idx, run.Dir, a.plan)
-		return d
+		return
 	}
 
 	// The visible end of the quasi line bounds both remaining checks: runs
@@ -92,7 +90,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 	for j := 1; j <= seqMax; j++ {
 		if s.HasRunAway(j * dir) {
 			d.terminate, d.reason = true, TermSequentRun
-			return d
+			return
 		}
 	}
 
@@ -100,11 +98,11 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 	// traverse operation was removed by a merge.
 	if run.Mode == ModePassing && run.PassTarget != chain.None && !a.ch.Contains(run.PassTarget) {
 		d.terminate, d.reason = true, TermPassTargetGone
-		return d
+		return
 	}
 	if run.Mode == ModeTraverse && run.OpTarget != chain.None && !a.ch.Contains(run.OpTarget) {
 		d.terminate, d.reason = true, TermOpTargetGone
-		return d
+		return
 	}
 
 	// Table 1.2 — the endpoint of the quasi line is visible in front, with
@@ -122,7 +120,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 		}
 		if !approaching {
 			d.terminate, d.reason = true, TermEndpoint
-			return d
+			return
 		}
 	}
 
@@ -135,7 +133,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 		if d.newPassBudget < 0 {
 			d.terminate, d.reason = true, TermStuck
 		}
-		return d
+		return
 	}
 
 	// Run passing trigger: an approaching run within distance 3 (checked
@@ -162,7 +160,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 			d.newPassTarget = partner.Host
 		}
 		d.newTraverseLeft, d.newOpOrigin, d.newOpTarget = 0, chain.None, chain.None
-		return d
+		return
 	}
 
 	// Traverse continuation (operations (b)/(c)): move without hopping.
@@ -172,7 +170,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 			d.newMode = ModeNormal
 			d.newTraverseLeft, d.newOpOrigin, d.newOpTarget = 0, chain.None, chain.None
 		}
-		return d
+		return
 	}
 
 	// Normal mode: reshapement operations at a corner (Fig 11).
@@ -180,7 +178,7 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 		// A run should only stand mid-segment transiently; advance without
 		// hopping and let the structure ahead decide its fate.
 		a.anomalies.NotOnCorner++
-		return d
+		return
 	}
 	switch sa := s.AlignedAhead(dir); {
 	case sa >= 3:
@@ -201,16 +199,16 @@ func (a *Algorithm) computeRunDecision(run *Run) runDecision {
 		// structure is about to resolve via a merge or condition 2.
 		a.anomalies.ShortAhead++
 	}
-	return d
 }
 
 // approachingRunAt returns a run on the robot at view offset k moving
-// towards the observer (direction opposite to dir), or nil.
-func (a *Algorithm) approachingRunAt(s view.Snapshot, k, dir int) *Run {
-	hr, ok := a.byHandle.Get(s.Robot(k))
-	if !ok {
+// towards the observer (direction opposite to dir), or nil. The run table
+// answers whether there is one; the registry is consulted only to fetch it.
+func (a *Algorithm) approachingRunAt(s *view.Snapshot, k, dir int) *Run {
+	if !s.HasRunTowards(k) {
 		return nil
 	}
+	hr, _ := a.byHandle.Get(s.Robot(k))
 	for _, r := range hr.stored() {
 		if r.Dir == -dir && !r.justStarted {
 			return r

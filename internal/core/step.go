@@ -52,7 +52,7 @@ type stepScratch struct {
 	moved       []chain.Handle
 	alive       []*Run
 	pairKey     map[[2]int]int
-	runViews    []view.RunView
+	runDirs     []byte
 	starts      []StartEvent
 	ends        []EndEvent
 	mergeEvents []chain.MergeEvent
@@ -131,26 +131,6 @@ func (a *Algorithm) Round() int { return a.round }
 // must not mutate it.
 func (a *Algorithm) Runs() []*Run { return a.runs }
 
-// RunsOn implements view.RunLocator: the run states visible on a robot.
-// Runs started in the current round are not yet visible, matching FSYNC
-// semantics (they exist from the next look phase on). The returned slice
-// is a shared scratch buffer, valid until the next RunsOn call; the view
-// predicates (HasRunTowards/HasRunAway) consume it immediately.
-func (a *Algorithm) RunsOn(h chain.Handle) []view.RunView {
-	hr, _ := a.byHandle.Get(h) // the zero entry hosts no runs
-	views := a.scratch.runViews[:0]
-	for _, run := range hr.stored() {
-		if !run.justStarted {
-			views = append(views, view.RunView{Dir: run.Dir})
-		}
-	}
-	a.scratch.runViews = views
-	if len(views) == 0 {
-		return nil
-	}
-	return views
-}
-
 // Gathered reports whether the configuration satisfies the termination
 // condition (all robots within a 2x2 square).
 func (a *Algorithm) Gathered() bool { return a.ch.Gathered() }
@@ -193,8 +173,8 @@ func (a *Algorithm) pairStarts(pending []pendingStart) {
 		// Walk the quasi line from the start robot in moving direction;
 		// the partner sits at its far end, moving back towards us. Use an
 		// unbounded view: the instrumentation may see the whole chain.
-		s := view.At(a.ch, p.idx, n-1, a)
-		endOff, ok := EndpointAhead(s, p.dir)
+		s := view.At(a.ch, p.idx, n-1, nil)
+		endOff, ok := EndpointAhead(&s, p.dir)
 		if !ok || endOff == 0 {
 			continue
 		}

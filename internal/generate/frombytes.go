@@ -171,10 +171,12 @@ func repairClosedWalk(steps []grid.Vec) []grid.Vec {
 // the origin. It panics on a chain with zero-length edges (merged robots),
 // which initial configurations never contain.
 func ToBytes(c *chain.Chain) []byte {
-	n := c.Len()
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		e := c.Edge(i)
+	hs := c.Handles()
+	out := make([]byte, len(hs))
+	for i, h := range hs {
+		// Read the positions, not c.Edge: a one-shot encode must not
+		// build the chain's edge cache.
+		e := c.PosOf(c.Next(h)).Sub(c.PosOf(h))
 		b := byte(255)
 		for j, d := range grid.AxisDirs {
 			if e == d {

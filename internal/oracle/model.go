@@ -134,54 +134,50 @@ func (m *Model) RunStates() []RunState {
 	return out
 }
 
-// snapshotView materialises the ring into the slice layout view.Over
-// expects: order[i] = handle (== id) of the robot at ring index i, pos
-// indexed by id over the whole id space. Rebuilt from scratch whenever a
-// view is needed — full-rescan naivety is the point.
+// snapshotView materialises the ring into the tables view.Over reads:
+// order[i] = handle (== id) of the robot at ring index i, edges[i] the
+// edge leaving it, and runs[i] its visible run-direction bits (nil when no
+// run is visible). Rebuilt from scratch whenever a view is needed, with
+// every edge re-derived from positions and every run found by scanning
+// the run list — full-rescan naivety is the point.
 type snapshotView struct {
 	order []chain.Handle
-	pos   []grid.Vec
+	edges []grid.Vec
+	runs  []byte
 }
 
+// materialise builds the round's tables. Runs started this very round are
+// not visible (FSYNC), so it is called after the look phase clears the
+// previous round's start flags.
 func (m *Model) materialise() snapshotView {
-	maxID := 0
-	for id := range m.byID {
-		if id > maxID {
-			maxID = id
-		}
-	}
+	nodes := m.ring()
+	n := len(nodes)
 	sv := snapshotView{
-		order: make([]chain.Handle, 0, m.n),
-		pos:   make([]grid.Vec, maxID+1),
+		order: make([]chain.Handle, n),
+		edges: make([]grid.Vec, n),
 	}
-	for _, nd := range m.ring() {
-		sv.order = append(sv.order, chain.Handle(nd.id))
+	for i, nd := range nodes {
+		sv.order[i] = chain.Handle(nd.id)
+		sv.edges[i] = nodes[(i+1)%n].pos.Sub(nd.pos)
 	}
-	for id, nd := range m.byID {
-		sv.pos[id] = nd.pos
+	for _, r := range m.runs {
+		i := m.ringIndexOf(r.host)
+		if r.justStarted || i < 0 {
+			continue
+		}
+		if sv.runs == nil {
+			sv.runs = make([]byte, n)
+		}
+		sv.runs[i] |= view.RunBit(r.dir)
 	}
 	return sv
 }
 
-// runsOn implements view.RunLocator over the model's run list by full
-// scan: all live runs hosted on the robot with that handle, in creation
-// order, excluding runs started this very round (FSYNC visibility).
-type modelRuns struct{ m *Model }
-
-func (mr modelRuns) RunsOn(h chain.Handle) []view.RunView {
-	var out []view.RunView
-	for _, r := range mr.m.runs {
-		if r.host.id == int(h) && !r.justStarted {
-			out = append(out, view.RunView{Dir: r.dir})
-		}
-	}
-	return out
-}
-
 // viewAt builds the model's local view of ring index i with viewing path
 // length v.
-func (m *Model) viewAt(sv snapshotView, i, v int) view.Snapshot {
-	return view.Over(sv.order, sv.pos, i, v, modelRuns{m})
+func (m *Model) viewAt(sv snapshotView, i, v int) *view.Snapshot {
+	s := view.Over(sv.order, sv.edges, i, v, sv.runs)
+	return &s
 }
 
 // ---- merge planning --------------------------------------------------------
@@ -706,6 +702,9 @@ func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 		return rep, fmt.Errorf("oracle: activation set has %d entries for %d robots", len(active), m.n)
 	}
 	m.anomalies = core.Anomalies{}
+	for _, run := range m.runs {
+		run.justStarted = false
+	}
 	sv := m.materialise()
 
 	// ---- Look & compute: merge plan, run decisions, run starts.
@@ -715,9 +714,6 @@ func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 	}
 	rep.MergePatterns = len(plan.patterns)
 
-	for _, run := range m.runs {
-		run.justStarted = false
-	}
 	decisions := make([]mdecision, 0, len(m.runs))
 	for _, run := range m.runs {
 		if !activeAt(active, m.ringIndexOf(run.host)) {

@@ -155,6 +155,12 @@ dispatch:
 			next <- i
 			continue
 		}
+		// Check first: with both cases ready, select picks at random, so a
+		// context cancelled before dispatch could still hand out tasks.
+		if ctx.Err() != nil {
+			cancelled = true
+			break
+		}
 		select {
 		case <-done:
 			cancelled = true

@@ -64,7 +64,7 @@ func TestLocalityEnforcedNegative(t *testing.T) {
 			t.Error("negative offset beyond the viewing path length must panic")
 		}
 	}()
-	s.Runs(-12)
+	s.HasRunAway(-12)
 }
 
 func TestEdge(t *testing.T) {
@@ -94,24 +94,25 @@ func TestWrapAroundShortChain(t *testing.T) {
 	}
 }
 
-// fakeRuns marks specific robots with run directions.
-type fakeRuns map[chain.Handle][]int
-
-func (f fakeRuns) RunsOn(h chain.Handle) []RunView {
-	var out []RunView
-	for _, d := range f[h] {
-		out = append(out, RunView{Dir: d})
+// runTable builds a ring-indexed run-direction table marking the given
+// ring indices with run directions.
+func runTable(c *chain.Chain, runs map[int][]int) []byte {
+	t := make([]byte, c.Len())
+	for i, dirs := range runs {
+		for _, d := range dirs {
+			t[i] |= RunBit(d)
+		}
 	}
-	return out
+	return t
 }
 
 func TestRunVisibility(t *testing.T) {
 	c := ring(t, 8, 8)
-	runs := fakeRuns{
-		c.At(3): {+1},
-		c.At(5): {-1},
-		c.At(7): {+1, -1},
-	}
+	runs := runTable(c, map[int][]int{
+		3: {+1},
+		5: {-1},
+		7: {+1, -1},
+	})
 	s := At(c, 0, 11, runs)
 	if !s.HasRunAway(3) {
 		t.Error("run at +3 moving +1 must read as moving away")
@@ -157,12 +158,43 @@ func TestAlignedAhead(t *testing.T) {
 	}
 }
 
+// TestEmptyRunsLocator checks that a nil run table reads as no runs
+// anywhere, and that an all-zero table reads the same.
 func TestEmptyRunsLocator(t *testing.T) {
 	c := ring(t, 4, 4)
-	s := At(c, 0, 11, EmptyRuns{})
-	for k := -4; k <= 4; k++ {
-		if len(s.Runs(k)) != 0 {
-			t.Fatalf("EmptyRuns must report no runs")
+	for _, tab := range [][]byte{nil, make([]byte, c.Len())} {
+		s := At(c, 0, 11, tab)
+		for k := -4; k <= 4; k++ {
+			if s.HasRunAway(k) || s.HasRunTowards(k) {
+				t.Fatalf("table %v: offset %d reports a run", tab, k)
+			}
 		}
+	}
+}
+
+// TestEdgeLocalityEnforced pins the locality guard of the edge and run
+// accessors: an edge with either end past the viewing range panics.
+func TestEdgeLocalityEnforced(t *testing.T) {
+	c := ring(t, 10, 10)
+	s := At(c, 0, 11, runTable(c, nil))
+	for name, read := range map[string]func(){
+		"Edge(11,+1)":       func() { s.Edge(11, +1) },
+		"Edge(-11,-1)":      func() { s.Edge(-11, -1) },
+		"Edge(12,-1)":       func() { s.Edge(12, -1) },
+		"HasRunTowards(12)": func() { s.HasRunTowards(12) },
+		"Robot(-12)":        func() { s.Robot(-12) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	// The edges at the rim of the range are visible.
+	if s.Edge(10, +1) != s.Rel(11).Sub(s.Rel(10)) || s.Edge(-10, -1) != s.Rel(-11).Sub(s.Rel(-10)) {
+		t.Error("rim edges misread")
 	}
 }

@@ -100,7 +100,9 @@ func WriteTrace(w io.Writer, recs []Record) error {
 
 // ReadTrace decodes an NDJSON campaign trace written by WriteTrace.
 // Blank lines are skipped; anything else that does not decode wraps
-// ErrBadTrace with its line number.
+// ErrBadTrace with its line number. The decode is strict: the only
+// unknown key it accepts is the retired core.Config "Workers" inside an
+// item's config (see dropRetiredConfigKey).
 func ReadTrace(r io.Reader) ([]Record, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
@@ -113,7 +115,7 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 			continue
 		}
 		var rec Record
-		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec := json.NewDecoder(bytes.NewReader(dropRetiredConfigKey(raw)))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrBadTrace, line, err)
@@ -124,6 +126,35 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	return out, nil
+}
+
+// retiredConfigKey is the core.Config field removed with the chunked
+// phase-kernel driver. Traces recorded before then carry it in every
+// item's config; it never changed a result, so ReadTrace drops it, as
+// checkpoints, failure bundles and POST /jobs bodies already ignore it.
+const retiredConfigKey = "Workers"
+
+// dropRetiredConfigKey returns the trace line with the retired key removed
+// from item.config, or the line unchanged when it has no such key (or does
+// not decode, which the strict decode then reports).
+func dropRetiredConfigKey(raw []byte) []byte {
+	if !bytes.Contains(raw, []byte(`"`+retiredConfigKey+`"`)) {
+		return raw
+	}
+	var rec, item, cfg map[string]json.RawMessage
+	if json.Unmarshal(raw, &rec) != nil || json.Unmarshal(rec["item"], &item) != nil ||
+		json.Unmarshal(item["config"], &cfg) != nil {
+		return raw
+	}
+	if _, ok := cfg[retiredConfigKey]; !ok {
+		return raw
+	}
+	delete(cfg, retiredConfigKey)
+	// Re-encoding raw values that just decoded cannot fail.
+	item["config"], _ = json.Marshal(cfg)
+	rec["item"], _ = json.Marshal(item)
+	out, _ := json.Marshal(rec)
+	return out
 }
 
 // Replay re-runs every recorded item and verifies the fresh outcome

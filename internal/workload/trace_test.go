@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,6 +148,11 @@ func TestReadTraceRejects(t *testing.T) {
 		"garbage":       "not json\n",
 		"unknown field": `{"item":{"index":0},"gathered":true,"bogus":1}` + "\n",
 		"wrong shape":   `[1,2,3]` + "\n",
+		// The retired "Workers" key is accepted in an item's config only.
+		"workers outside config": `{"item":{"index":0},"gathered":true,"Workers":0}` + "\n",
+		"workers in item":        `{"item":{"index":0,"Workers":0},"gathered":true}` + "\n",
+		"other config key":       `{"item":{"index":0,"config":{"Workers":0,"Threads":2}},"gathered":true}` + "\n",
+		"lower-case workers":     `{"item":{"index":0,"config":{"workers":0}},"gathered":true}` + "\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -159,5 +165,34 @@ func TestReadTraceRejects(t *testing.T) {
 	recs, err := ReadTrace(strings.NewReader("\n\n"))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("ReadTrace(blank) = %d recs, %v", len(recs), err)
+	}
+}
+
+// TestReadTraceLegacyWorkers replays a trace recorded while core.Config
+// still had the Workers field of the chunked phase-kernel driver (every
+// item config carries "Workers":0). It must decode and reproduce byte for
+// byte. The fixture was written with
+//
+//	gatherbench -spec legacy.yaml -spec-trace legacy_workers.ndjson
+//
+// from that engine, legacy.yaml being traceSpec with items: 10 and
+// size: uniform:64:160.
+func TestReadTraceLegacyWorkers(t *testing.T) {
+	raw, err := os.ReadFile("testdata/legacy_workers.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"Workers":0`)) {
+		t.Fatal("fixture lost its legacy Workers key")
+	}
+	recs, err := ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if len(recs) != 10 {
+		t.Fatalf("ReadTrace returned %d records, want 10", len(recs))
+	}
+	if err := Replay(context.Background(), recs, 2); err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
 }
